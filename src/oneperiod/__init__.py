@@ -19,8 +19,7 @@ from .errors import (ArbitragePresentError, ConvergenceError, DegenerateProblemE
 from .frontier import (FrontierConstants, FrontierSolution, RisklessInfo,
                        efficient_portfolio, find_riskless, frontier_constants,
                        two_fund_compose)
-from .linalg import (ConeProjection, PseudoInverseResult, nnls, pinv,
-                     riskless_projectors)
+from .linalg import ConeProjection, PseudoInverseResult, nnls, pinv
 from .market import (Market, Moments, ReturnProfile, load_market, market_from_dict,
                      moments, normalize_portfolio, realized_return, validate_market)
 
@@ -35,7 +34,6 @@ __all__ = [
     "ZeroCostPortfolioError", "beta", "check_arbitrage", "classical_capm",
     "efficient_portfolio", "find_riskless", "frontier_constants", "load_market",
     "market_from_dict", "moments", "nnls", "normalize_portfolio", "pinv",
-    "realized_return", "risk_neutral_consistency", "riskless_projectors",
-    "two_fund_compose", "validate_market", "verify_certificate",
-    "verify_realized_identity",
+    "realized_return", "risk_neutral_consistency", "two_fund_compose",
+    "validate_market", "verify_certificate", "verify_realized_identity",
 ]

@@ -48,7 +48,10 @@ def _cov(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 def beta(market: Market, candidate, fund0, fund1) -> float:
     """Cov(R - R0, R1 - R0) / Var(R1 - R0) under the outcome probabilities."""
-    p, d, e = _excess_profiles(market, candidate, fund0, fund1)
+    return _beta(*_excess_profiles(market, candidate, fund0, fund1))
+
+
+def _beta(p: np.ndarray, d: np.ndarray, e: np.ndarray) -> float:
     var_e = _cov(p, e, e)
     floor = _VAR_FLOOR_RTOL * max(1.0, float(np.abs(e).max())) ** 2
     if var_e <= floor:
@@ -63,8 +66,8 @@ def verify_realized_identity(market: Market, candidate, fund0, fund1) -> Identit
     For efficient triples the residual vanishes (to rounding); for arbitrary
     portfolios the report simply shows how far off they are.
     """
-    b = beta(market, candidate, fund0, fund1)
     p, d, e = _excess_profiles(market, candidate, fund0, fund1)
+    b = _beta(p, d, e)
     residual = d - b * e
     return IdentityReport(
         beta=b,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from dataclasses import dataclass
@@ -76,14 +77,20 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_config(argv=None) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    rho = getattr(ns, "rho", None)
     rho0 = getattr(ns, "rho0", None)
     rho1 = getattr(ns, "rho1", None)
     if (rho0 is None) != (rho1 is None):
         parser.error("--rho0 and --rho1 must be given together")
     if rho0 is not None and rho0 == rho1:
         parser.error("--rho0 and --rho1 must differ")
+    for flag, value in (("--rho", rho), ("--rho0", rho0), ("--rho1", rho1)):
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{flag} must be a finite number, got {value!r}")
+    if not (math.isfinite(ns.tol) and ns.tol > 0.0):
+        raise ValidationError(f"--tol must be finite and positive, got {ns.tol!r}")
     return RunConfig(command=ns.command, model_path=ns.model,
-                     rho=getattr(ns, "rho", None), rho0=rho0, rho1=rho1,
+                     rho=rho, rho0=rho0, rho1=rho1,
                      tol=ns.tol, output_format=ns.output_format)
 
 
@@ -94,7 +101,7 @@ def run(config: RunConfig) -> int:
         "check": _run_check,
         "frontier": _run_frontier,
         "capm": _run_capm,
-        "arbitrage": _run_arbitrage,
+        "arbitrage": _arbitrage_result,
         "measure": _run_measure,
     }[config.command]
     result = builder(market, config)
@@ -107,16 +114,15 @@ def run(config: RunConfig) -> int:
         "result": result,
     }
     if config.output_format == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, allow_nan=False))
     else:
         print(_render_text(report), end="")
     return 0
 
 
 def main(argv=None) -> int:
-    config = parse_config(argv)
     try:
-        return run(config)
+        return run(parse_config(argv))
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -241,10 +247,6 @@ def _arbitrage_result(market: Market, config: RunConfig) -> dict:
         "residual_norm": outcome.residual_norm,
         "verification": _check_report_dict(verification),
     }
-
-
-def _run_arbitrage(market: Market, config: RunConfig) -> dict:
-    return _arbitrage_result(market, config)
 
 
 def _run_measure(market: Market, config: RunConfig):

@@ -21,10 +21,10 @@ import numpy as np
 
 from .errors import (ArbitragePresentError, DegenerateProblemError,
                      SingularCovarianceError, UnsupportedMarketError)
-from .linalg import null_space, pinv
+from .linalg import DEFAULT_PINV_RTOL
 from .market import Market, Moments, ZERO_COST_RTOL, moments, realized_return
 
-#: residual threshold (times sqrt(n_outcomes)) for the unit-payoff least squares
+#: residual threshold (times sqrt(n_outcomes)) for the unit-payoff combination
 RISKLESS_RESIDUAL_TOL = 1e-9
 
 MODE_NONSINGULAR = "nonsingular"
@@ -83,28 +83,49 @@ class FrontierSolution:
 def find_riskless(market: Market) -> RisklessInfo | None:
     """Locate the riskless portfolio, or report that none exists.
 
-    Solves the unit-payoff least squares ``payoffs' z = 1``; a small residual
-    means some combination pays the same in every outcome. The result is
+    The zero-variance directions of the payoff covariance are the portfolios
+    whose payoff is the same in every outcome. A combination of them that
+    pays one unit in every outcome (within a residual of
+    ``RISKLESS_RESIDUAL_TOL * sqrt(n_outcomes)``) is the riskless portfolio,
     normalized to unit cost. Raises ArbitragePresentError when two riskless
     portfolios with different returns coexist (equivalently, a zero-payoff
     combination carries cost) or the constant payoff costs nothing or less.
     """
+    return _find_riskless(market, moments(market))
+
+
+def _nullity(mm: Moments) -> int:
+    """Number of covariance eigenvalues at or below the rank cutoff.
+
+    The eigenvalues ascend, so these are the leading ones, and their
+    eigenvectors span the zero-variance directions.
+    """
+    eigs = mm.eigenvalues
+    return int(np.count_nonzero(eigs <= DEFAULT_PINV_RTOL * eigs[-1]))
+
+
+def _find_riskless(market: Market, mm: Moments) -> RisklessInfo | None:
     x = market.prices
-    payoffs_t = market.payoffs.T
-    n_outcomes = market.n_outcomes
-    ones = np.ones(n_outcomes)
-    base = np.linalg.lstsq(payoffs_t, ones, rcond=None)[0]
-    residual = float(np.linalg.norm(payoffs_t @ base - ones))
-    if residual > RISKLESS_RESIDUAL_TOL * np.sqrt(n_outcomes):
+    nullity = _nullity(mm)
+    null = mm.eigenvectors[:, :nullity]
+    # Each zero-variance direction pays its mean payoff as a constant.
+    constants = mm.mean @ null
+    scale = float(constants @ constants)
+    if scale == 0.0:
+        return None
+    base = null @ (constants / scale)
+    residual = float(np.linalg.norm(base @ market.payoffs - 1.0))
+    if not residual <= RISKLESS_RESIDUAL_TOL * np.sqrt(market.n_outcomes):
         return None
 
-    zero_payoff = null_space(payoffs_t)
-    if zero_payoff.size:
-        leak = float(np.linalg.norm(zero_payoff @ x))
-        if leak > _NULL_COST_RTOL * max(1.0, float(np.linalg.norm(x))):
-            raise ArbitragePresentError(
-                "two riskless portfolios with different returns exist: a zero-payoff "
-                f"combination of instruments carries cost (magnitude {leak!r})")
+    # The zero-variance directions orthogonal to ``constants`` pay zero, so
+    # they must cost nothing.
+    null_costs = x @ null
+    leak = float(np.linalg.norm(null_costs - constants * ((null_costs @ constants) / scale)))
+    if not leak <= _NULL_COST_RTOL * max(1.0, float(np.linalg.norm(x))):
+        raise ArbitragePresentError(
+            "two riskless portfolios with different returns exist: a zero-payoff "
+            f"combination of instruments carries cost (magnitude {leak!r})")
 
     cost = float(base @ x)
     cost_floor = ZERO_COST_RTOL * max(1.0, float(np.linalg.norm(base) * np.linalg.norm(x)))
@@ -114,9 +135,10 @@ def find_riskless(market: Market) -> RisklessInfo | None:
     zeta = base / cost
     gross_return = 1.0 / cost
 
-    mm = moments(market)
+    # Tangency direction V+ (E[X] - R x), V+ taken over the eigenpairs above the cutoff.
     excess = mm.mean - gross_return * x
-    raw = pinv(mm.covariance).pinv @ excess
+    vecs = mm.eigenvectors[:, nullity:]
+    raw = vecs @ ((excess @ vecs) / mm.eigenvalues[nullity:])
     tangency = None
     raw_cost = float(raw @ x)
     if abs(raw_cost) > ZERO_COST_RTOL * max(
@@ -127,26 +149,20 @@ def find_riskless(market: Market) -> RisklessInfo | None:
 
 def frontier_constants(market: Market) -> FrontierConstants:
     """The four scalars driving the closed-form frontier; requires invertible covariance."""
-    return _constants(market)[0]
+    return _constants(market, moments(market))[0]
 
 
-def _constants(market: Market):
-    mm = moments(market)
-    cov = mm.covariance
-    if pinv(cov).rank < market.n_instruments:
+def _constants(market: Market, mm: Moments):
+    if _nullity(mm):
         raise SingularCovarianceError(
             "payoff covariance is singular; use the riskless route instead")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise SingularCovarianceError(
-            "payoff covariance is not positive definite; use the riskless route "
-            "instead") from None
-    # Whiten the price/mean pair and take its QR factor. The quadratic forms
+    # Whiten the price/mean pair with L^-1/2 Q', where V = Q L Q' is the stored
+    # eigendecomposition, and take its QR factor. The quadratic forms
     # become plain products of the triangular entries, which sidesteps the
     # catastrophic cancellation of forming a*c - b*b directly (the determinant
     # can be many orders of magnitude below a*c).
-    whitened = np.linalg.solve(chol, np.column_stack([market.prices, mm.mean]))
+    half = mm.eigenvectors / np.sqrt(mm.eigenvalues)
+    whitened = half.T @ np.column_stack([market.prices, mm.mean])
     r = np.linalg.qr(whitened, mode="r")
     r11 = float(r[0, 0])
     r12 = float(r[0, 1])
@@ -155,27 +171,18 @@ def _constants(market: Market):
     b = r11 * r12
     c = r12 * r12 + r22 * r22
     d = a * (r22 * r22)
-
-    sol_price = np.linalg.solve(cov, market.prices)
-    sol_mean = np.linalg.solve(cov, mm.mean)
-    b_price = float(market.prices @ sol_mean)
-    b_mean = float(mm.mean @ sol_price)
-    if (abs(b_price - b_mean) > 1e-9 * max(1.0, abs(b_price), abs(b_mean))
-            or abs(b - b_price) > 1e-9 * max(1.0, abs(b), abs(b_price))):
-        raise UnsupportedMarketError(
-            "covariance solves are inconsistent; the matrix is numerically singular "
-            f"({b!r} vs {b_price!r} vs {b_mean!r})")
+    inverse = half @ whitened  # columns V^-1 x and V^-1 E[X]
     constants = FrontierConstants(a=a, b=b, c=c, d=d)
-    return constants, mm, sol_price, sol_mean, (r11, r12, r22)
+    return constants, inverse[:, 0], inverse[:, 1], (r11, r12, r22)
 
 
 def efficient_portfolio(market: Market, target_mean: float) -> FrontierSolution:
     """Minimum-variance unit-cost portfolio with the given expected realized return."""
     rho = float(target_mean)
-    try:
-        constants, mm, sol_price, sol_mean, triangle = _constants(market)
-    except SingularCovarianceError:
-        return _riskless_route(market, rho)
+    mm = moments(market)
+    if _nullity(mm):
+        return _riskless_route(market, mm, rho)
+    constants, sol_price, sol_mean, triangle = _constants(market, mm)
 
     a, b, c, d = constants.a, constants.b, constants.c, constants.d
     if abs(d) <= _DEGENERATE_D_RTOL * max(abs(a * c), b * b, 1.0):
@@ -198,8 +205,8 @@ def efficient_portfolio(market: Market, target_mean: float) -> FrontierSolution:
     return solution
 
 
-def _riskless_route(market: Market, rho: float) -> FrontierSolution:
-    info = find_riskless(market)
+def _riskless_route(market: Market, mm: Moments, rho: float) -> FrontierSolution:
+    info = _find_riskless(market, mm)
     if info is None:
         raise UnsupportedMarketError(
             "covariance is singular and no riskless portfolio exists; "
@@ -226,18 +233,19 @@ def _riskless_route(market: Market, rho: float) -> FrontierSolution:
     solution = FrontierSolution(portfolio=xi, lam=-mu * r, mu=mu,
                                 target_mean=rho, variance=variance,
                                 mode=MODE_RISKLESS)
-    _check_solution(market, moments(market), solution)
+    _check_solution(market, mm, solution)
     return solution
 
 
 def _check_solution(market: Market, mm: Moments, solution: FrontierSolution) -> None:
     cost = float(solution.portfolio @ market.prices)
-    if abs(cost - 1.0) > _COST_CHECK_TOL:
+    if not abs(cost - 1.0) <= _COST_CHECK_TOL:
         raise UnsupportedMarketError(
             f"efficient portfolio failed its unit-cost check (cost {cost!r}); "
             "the market is too ill-conditioned")
     mean = float(solution.portfolio @ mm.mean) / cost
-    if abs(mean - solution.target_mean) > _MEAN_CHECK_TOL * max(1.0, abs(solution.target_mean)):
+    bound = _MEAN_CHECK_TOL * max(1.0, abs(solution.target_mean))
+    if not abs(mean - solution.target_mean) <= bound:
         raise UnsupportedMarketError(
             f"efficient portfolio failed its target-mean check ({mean!r} vs "
             f"{solution.target_mean!r}); the market is too ill-conditioned")

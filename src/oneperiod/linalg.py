@@ -1,10 +1,8 @@
 """Dense linear-algebra kernels.
 
-SVD-based pseudo-inverse with explicit rank decision, the rank-one
-projectors onto a direction and its orthogonal complement, and a
-deterministic active-set nonnegative least squares used to project onto
-finitely generated cones. Everything here is a pure function on small
-dense arrays.
+SVD-based pseudo-inverse with explicit rank decision, and a deterministic
+active-set nonnegative least squares used to project onto finitely
+generated cones. Everything here is a pure function on small dense arrays.
 """
 
 from __future__ import annotations
@@ -58,32 +56,6 @@ def pinv(matrix, rtol: float = DEFAULT_PINV_RTOL) -> PseudoInverseResult:
     else:
         inv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
     return PseudoInverseResult(pinv=inv, rank=rank, cutoff=cutoff)
-
-
-def null_space(matrix, rtol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
-    """Orthonormal basis of the null space, one basis vector per row."""
-    m = np.asarray(matrix, dtype=float)
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
-    cutoff = rtol * (float(s[0]) if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
-    return vt[rank:]
-
-
-def riskless_projectors(direction) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal projectors onto span(direction) and its complement.
-
-    Returns ``(P_parallel, P_perp)`` with ``P_parallel = d d' / d'd`` and
-    ``P_perp = I - P_parallel``.
-    """
-    d = np.asarray(direction, dtype=float)
-    if d.ndim != 1:
-        raise ValueError(f"expected a vector, got array of shape {d.shape}")
-    norm_sq = float(d @ d)
-    if norm_sq == 0.0:
-        raise ValueError("cannot build projectors for the zero vector")
-    parallel = np.outer(d, d) / norm_sq
-    perp = np.eye(d.size) - parallel
-    return parallel, perp
 
 
 def nnls(generators, target, *, max_iter: int | None = None,

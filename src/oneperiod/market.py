@@ -78,17 +78,27 @@ class Market:
 
 @dataclass(frozen=True)
 class Moments:
-    """Exact model moments of the payoff vector under the outcome probabilities."""
+    """Exact model moments of the payoff vector under the outcome probabilities.
+
+    The covariance's eigendecomposition is kept with it:
+    ``covariance = eigenvectors @ diag(eigenvalues) @ eigenvectors.T`` with
+    the eigenvalues ascending, so every frontier computation reads one factor.
+    """
 
     mean: np.ndarray           # E[X], shape (n,)
     second_moment: np.ndarray  # E[X X'], shape (n, n)
     covariance: np.ndarray     # E[X X'] - E[X] E[X'], shape (n, n)
+    eigenvalues: np.ndarray    # of the covariance, ascending, shape (n,)
+    eigenvectors: np.ndarray   # orthonormal columns, one per eigenvalue, shape (n, n)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", _frozen_array(self.mean, 1, "mean"))
         object.__setattr__(self, "second_moment",
                            _frozen_array(self.second_moment, 2, "second moment"))
         object.__setattr__(self, "covariance", _frozen_array(self.covariance, 2, "covariance"))
+        object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues, 1, "eigenvalues"))
+        object.__setattr__(self, "eigenvectors",
+                           _frozen_array(self.eigenvectors, 2, "eigenvectors"))
 
 
 @dataclass(frozen=True)
@@ -160,7 +170,7 @@ def validate_market(market: Market) -> Market:
 
 
 def moments(market: Market) -> Moments:
-    """Mean payoff, second moment and covariance under the outcome probabilities."""
+    """Mean payoff, second moment, covariance and its eigendecomposition."""
     x = market.payoffs
     p = market.probabilities
     mean = x @ p
@@ -168,11 +178,12 @@ def moments(market: Market) -> Moments:
     second = 0.5 * (second + second.T)
     cov = second - np.outer(mean, mean)
     cov = 0.5 * (cov + cov.T)
-    eigs = np.linalg.eigvalsh(cov)
+    eigs, vecs = np.linalg.eigh(cov)
     if eigs[0] < -_PSD_RTOL * max(eigs[-1], 1e-300):
         raise ValidationError(
             f"covariance is not positive semi-definite (smallest eigenvalue {eigs[0]!r})")
-    return Moments(mean=mean, second_moment=second, covariance=cov)
+    return Moments(mean=mean, second_moment=second, covariance=cov,
+                   eigenvalues=eigs, eigenvectors=vecs)
 
 
 def as_portfolio(market: Market, portfolio) -> np.ndarray:

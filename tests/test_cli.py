@@ -205,3 +205,22 @@ def test_json_output_round_trips_bitwise(capsys, m1_path):
     assert result["mass"] == measure.mass
     assert result["implied_return"] == measure.implied_return
     assert result["residual_norm"] == measure.residual_norm
+
+
+@pytest.mark.parametrize("argv", [
+    ["frontier", "--rho", "nan"],
+    ["frontier", "--rho", "inf"],
+    ["capm", "--rho", "1.12", "--rho0", "nan", "--rho1", "1.2"],
+    ["capm", "--rho", "1.12", "--rho0", "1.05", "--rho1=-inf"],
+    ["arbitrage", "--tol", "-1"],
+    ["arbitrage", "--tol", "nan"],
+    ["measure", "--tol", "inf"],
+    ["check", "--tol", "0"],
+])
+def test_non_finite_flags_exit_2_with_one_line_error(capsys, m1_path, argv):
+    code = cli.main(argv + ["--model", m1_path, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --")
+    assert len(captured.err.splitlines()) == 1

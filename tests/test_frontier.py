@@ -154,6 +154,14 @@ def test_efficient_rejects_singular_without_riskless():
         efficient_portfolio(market, 1.05)
 
 
+@pytest.mark.parametrize("target", [float("nan"), float("inf")])
+def test_efficient_non_finite_target_fails_its_checks(m1, m3, target):
+    for market in (m1, m3):
+        with np.errstate(invalid="ignore"), pytest.raises(UnsupportedMarketError,
+                                                          match="check"):
+            efficient_portfolio(market, target)
+
+
 def test_efficient_degenerate_tangency_refuses_risky_targets():
     market = Market(instruments=("a", "b"), prices=(1.0, 2.0),
                     payoffs=[[1.2, 1.2], [2.4, 2.4]], probabilities=(0.5, 0.5))
@@ -220,6 +228,90 @@ def test_riskless_route_pointwise_identity_random():
         mu_eff = float(lhs_v @ excess) / denom if denom > 0 else 0.0
         residual = lhs_v - mu_eff * excess
         assert np.abs(residual).max() <= 1e-8 * np.abs(cov).sum(axis=1).max()
+
+
+def with_copy(market: Market, row: int, markup: float = 1.0) -> Market:
+    """``market`` plus a copy of instrument ``row`` priced at ``markup`` times its price."""
+    return Market(instruments=market.instruments + ("copy",),
+                  prices=np.append(market.prices, markup * market.prices[row]),
+                  payoffs=np.vstack([market.payoffs, market.payoffs[row]]),
+                  probabilities=market.probabilities)
+
+
+def test_riskless_route_with_redundant_risky_instrument():
+    rng = np.random.default_rng(1313)
+    for _ in range(20):
+        market = random_riskless_market(rng)
+        row = int(rng.integers(1, market.n_instruments))
+        copied = with_copy(market, row)
+
+        def merged(xi):
+            summed = np.array(xi[:-1])
+            summed[row] += xi[-1]
+            return summed
+
+        info = find_riskless(market)
+        info_c = find_riskless(copied)
+        assert info_c.gross_return == pytest.approx(info.gross_return, rel=1e-12)
+        np.testing.assert_allclose(merged(info_c.portfolio), info.portfolio,
+                                   rtol=1e-9, atol=1e-10)
+        np.testing.assert_allclose(merged(info_c.tangency), info.tangency,
+                                   rtol=1e-9, atol=1e-10)
+        rho = info.gross_return + float(rng.uniform(-0.05, 0.05))
+        solution = efficient_portfolio(market, rho)
+        solution_c = efficient_portfolio(copied, rho)
+        assert solution_c.mode == MODE_RISKLESS
+        assert solution_c.variance == pytest.approx(solution.variance, rel=1e-9, abs=1e-14)
+        np.testing.assert_allclose(merged(solution_c.portfolio), solution.portfolio,
+                                   rtol=1e-9, atol=1e-10)
+
+        marked_up = with_copy(market, row, markup=1.01)
+        with pytest.raises(ArbitragePresentError, match="zero-payoff"):
+            find_riskless(marked_up)
+        with pytest.raises(ArbitragePresentError, match="zero-payoff"):
+            efficient_portfolio(marked_up, rho)
+
+
+# -- decomposition counts ---------------------------------------------------------
+
+_DECOMPOSITIONS = ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
+                   "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd")
+
+
+@pytest.fixture
+def linalg_outputs(monkeypatch):
+    """One entry per numpy.linalg decomposition call: the size of its largest output."""
+    outputs = []
+    for name in _DECOMPOSITIONS:
+        def counted(*args, _fn=getattr(np.linalg, name), **kwargs):
+            result = _fn(*args, **kwargs)
+            parts = result if isinstance(result, tuple) else (result,)
+            outputs.append(max(np.size(part) for part in parts))
+            return result
+        monkeypatch.setattr(np.linalg, name, counted)
+    return outputs
+
+
+def test_decompositions_per_call(linalg_outputs):
+    rng = np.random.default_rng(1414)
+    for _ in range(5):
+        market = random_invertible_market(rng)
+        n = market.n_instruments
+        linalg_outputs.clear()
+        efficient_portfolio(market, 1.05)
+        assert len(linalg_outputs) <= 2
+        assert max(linalg_outputs) <= n * n
+
+        market = random_riskless_market(rng)
+        n = market.n_instruments
+        linalg_outputs.clear()
+        info = find_riskless(market)
+        assert len(linalg_outputs) == 1
+        linalg_outputs.clear()
+        solution = efficient_portfolio(market, info.gross_return + 0.02)
+        assert solution.mode == MODE_RISKLESS
+        assert len(linalg_outputs) <= 1
+        assert max(linalg_outputs) <= n * n
 
 
 # -- two-fund composition --------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import nnls_grid_oracle
 from oneperiod.errors import ConvergenceError
-from oneperiod.linalg import nnls, pinv, riskless_projectors
+from oneperiod.linalg import nnls, pinv
 
 
 def random_orthogonal(rng, n):
@@ -73,37 +73,6 @@ def test_pinv_penrose_conditions_random():
                 rng, m, n, int(rng.integers(0, min(m, n) + 1)))
             assert pinv(a).rank == expected_rank
         assert penrose_violation(a, pinv(a)) <= 1e-9
-
-
-def test_projectors_axis_aligned():
-    parallel, perp = riskless_projectors((1.0, 0.0))
-    np.testing.assert_array_equal(parallel, [[1.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(perp, [[0.0, 0.0], [0.0, 1.0]])
-
-
-def test_projectors_diagonal_direction():
-    parallel, _ = riskless_projectors((1.0, 1.0))
-    np.testing.assert_allclose(parallel, [[0.5, 0.5], [0.5, 0.5]], rtol=1e-15)
-
-
-def test_projector_algebra_random():
-    rng = np.random.default_rng(404)
-    for _ in range(25):
-        d = rng.normal(size=int(rng.integers(1, 7)))
-        if np.linalg.norm(d) < 1e-6:
-            continue
-        parallel, perp = riskless_projectors(d)
-        np.testing.assert_allclose(parallel @ d, d, atol=1e-12)
-        np.testing.assert_allclose(perp @ d, np.zeros_like(d), atol=1e-12)
-        np.testing.assert_allclose(parallel @ parallel, parallel, atol=1e-13)
-        np.testing.assert_allclose(perp @ perp, perp, atol=1e-13)
-        np.testing.assert_array_equal(parallel + perp, np.eye(d.size))
-        assert np.abs(parallel @ perp).max() <= 1e-12
-
-
-def test_projectors_reject_zero_vector():
-    with pytest.raises(ValueError):
-        riskless_projectors(np.zeros(3))
 
 
 # -- nonnegative least squares -------------------------------------------------
