@@ -77,7 +77,7 @@ def check_arbitrage(market: Market, tol: float = DEFAULT_TOLERANCE):
     if projection.residual_norm <= threshold:
         weights = projection.coefficients
         mass = float(weights.sum())
-        if mass <= tol:
+        if not mass > tol:
             raise DegenerateProblemError(
                 f"recovered state prices have near-zero total mass ({mass!r}); "
                 "the implied return is undefined")
@@ -137,8 +137,9 @@ def _verify_certificate(market: Market, certificate: ArbitrageCertificate,
                         tol: float) -> CheckReport:
     xi = np.asarray(certificate.portfolio, dtype=float)
     cost = float(xi @ market.prices)
-    worst = float((xi @ market.payoffs).min())
-    payoff_floor = tol * max(1.0, float(np.abs(market.payoffs).max()))
+    payoffs = market.payoffs
+    worst = float((xi @ payoffs).min())
+    payoff_floor = tol * max(1.0, float(payoffs.max()), -float(payoffs.min()))
     return CheckReport(checks=(
         ConditionCheck(name="portfolio cost is negative", passed=cost < 0.0, slack=-cost),
         ConditionCheck(name="payoff is nonnegative in every outcome",

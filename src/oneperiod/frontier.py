@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ArbitragePresentError, DegenerateProblemError,
-                     SingularCovarianceError, UnsupportedMarketError)
+                     SingularCovarianceError, UnsupportedMarketError, ValidationError)
 from .linalg import DEFAULT_PINV_RTOL
 from .market import Market, Moments, ZERO_COST_RTOL, moments, realized_return
 
@@ -179,6 +179,8 @@ def _constants(market: Market, mm: Moments):
 def efficient_portfolio(market: Market, target_mean: float) -> FrontierSolution:
     """Minimum-variance unit-cost portfolio with the given expected realized return."""
     rho = float(target_mean)
+    if not np.isfinite(rho):
+        raise ValidationError(f"target expected return must be finite, got {rho!r}")
     mm = moments(market)
     if _nullity(mm):
         return _riskless_route(market, mm, rho)

@@ -197,3 +197,49 @@ def random_dominated_market(rng) -> Market:
     names = tuple(f"a{j}" for j in range(base.n_instruments)) + ("clone",)
     return Market(instruments=names, prices=prices, payoffs=payoffs,
                   probabilities=base.probabilities)
+
+
+def nnls_textbook(generators, target):
+    """Lawson-Hanson NNLS as in the textbook: a fresh ``lstsq`` per inner step.
+
+    Same entering rule, drop rule and default KKT tolerance as
+    ``oneperiod.linalg.nnls``, but every step works on length-k vectors and
+    re-solves the passive least-squares problem from scratch. The dual is
+    summed column by column in one order, so duplicate generators tie
+    exactly and the lowest index enters. Returns the coefficients and the
+    number of inner (drop) steps taken.
+    """
+    g = np.asarray(generators, dtype=float)
+    b = np.asarray(target, dtype=float)
+    k = g.shape[1]
+    dual = (g * b[:, None]).sum(axis=0)
+    kkt_tol = 1e-10 * float(np.abs(dual).max())
+    coeff = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    drops = 0
+    for _ in range(10 * k):
+        candidates = np.flatnonzero(~passive & (dual > kkt_tol))
+        if candidates.size == 0:
+            return coeff, drops
+        passive[int(candidates[np.argmax(dual[candidates])])] = True
+        while True:
+            idx = np.flatnonzero(passive)
+            trial = np.zeros(k)
+            trial[idx] = np.linalg.lstsq(g[:, idx], b, rcond=None)[0]
+            if trial[idx].min() > 0.0:
+                coeff = trial
+                break
+            drops += 1
+            blocking = idx[trial[idx] <= 0.0]
+            gap = coeff[blocking] - trial[blocking]
+            ratio = np.where(gap > 0.0, coeff[blocking] / np.where(gap > 0.0, gap, 1.0), 0.0)
+            stop = int(np.argmin(ratio))
+            coeff = coeff + float(ratio[stop]) * (trial - coeff)
+            coeff[blocking[stop]] = 0.0
+            drop = passive & (coeff <= 0.0)
+            coeff[drop] = 0.0
+            passive &= ~drop
+            if not passive.any():
+                break
+        dual = (g * (b - g @ coeff)[:, None]).sum(axis=0)
+    raise AssertionError("textbook nnls hit its iteration cap")

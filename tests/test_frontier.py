@@ -4,7 +4,8 @@ import pytest
 from conftest import (brute_moments, invert_2x2, line_search_min_variance,
                       random_invertible_market, random_riskless_market)
 from oneperiod.errors import (ArbitragePresentError, DegenerateProblemError,
-                              SingularCovarianceError, UnsupportedMarketError)
+                              SingularCovarianceError, UnsupportedMarketError,
+                              ValidationError)
 from oneperiod.frontier import (MODE_NONSINGULAR, MODE_RISKLESS, efficient_portfolio,
                                 find_riskless, frontier_constants, two_fund_compose)
 from oneperiod.market import Market, moments, realized_return
@@ -157,8 +158,7 @@ def test_efficient_rejects_singular_without_riskless():
 @pytest.mark.parametrize("target", [float("nan"), float("inf")])
 def test_efficient_non_finite_target_fails_its_checks(m1, m3, target):
     for market in (m1, m3):
-        with np.errstate(invalid="ignore"), pytest.raises(UnsupportedMarketError,
-                                                          match="check"):
+        with pytest.raises(ValidationError, match="finite"):
             efficient_portfolio(market, target)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import nnls_grid_oracle
+from conftest import nnls_grid_oracle, nnls_textbook
 from oneperiod.errors import ConvergenceError
 from oneperiod.linalg import nnls, pinv
 
@@ -158,3 +158,59 @@ def test_nnls_rejects_bad_shapes():
         nnls(np.ones((2, 2)), np.ones(3))
     with pytest.raises(ValueError):
         nnls([[np.inf, 1.0]], [1.0])
+
+
+def _textbook_problems(rng):
+    """Seeded problems: generic, duplicate columns, a cloned row, planted cones,
+    and planted and marked-up-clone markets with longer passive sets."""
+    for case in range(240):
+        m = int(rng.integers(1, 10))
+        k = int(rng.integers(1, 16))
+        g = rng.normal(size=(m, k))
+        kind = case % 4
+        if kind == 1 and k > 1:
+            g[:, int(rng.integers(1, k))] = g[:, 0]
+        elif kind == 2 and m > 1:
+            g[int(rng.integers(1, m))] = g[0]
+        elif kind == 3:
+            g = rng.uniform(0.5, 1.5, size=(m, k))
+        yield g, rng.normal(size=m)
+    for n, k in ((16, 400), (24, 300)):
+        payoffs = rng.uniform(0.5, 1.5, size=(n, k))
+        prices = payoffs @ rng.uniform(0.1, 1.0, size=k)
+        yield payoffs, prices
+        yield np.vstack([payoffs, payoffs[3]]), np.append(prices, 1.05 * prices[3])
+
+
+def test_nnls_matches_textbook_iterates():
+    rng = np.random.default_rng(808)
+    drops = 0
+    for g, b in _textbook_problems(rng):
+        expected, steps = nnls_textbook(g, b)
+        drops += steps
+        coefficients = nnls(g, b).coefficients
+        np.testing.assert_array_equal(coefficients > 0.0, expected > 0.0)
+        scale = float(np.abs(expected).max())
+        assert float(np.abs(coefficients - expected).max()) <= 1e-12 * scale
+    assert drops >= 20  # the drop rule is exercised, not only the entering rule
+
+
+def test_nnls_factors_nothing_from_scratch(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nnls called a numpy.linalg factorization")
+
+    for name in ("lstsq", "qr", "svd", "solve", "inv", "pinv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(810)
+    for g, b in _textbook_problems(rng):
+        nnls(g, b)
+
+
+def test_nnls_dependent_entering_column_carries_best_iterate():
+    # With kkt_tol = 0 a rounding-level dual asks a generator in the span of
+    # the passive ones to enter; the textbook method cycles to the cap here.
+    g = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+    with pytest.raises(ConvergenceError, match="linearly dependent") as excinfo:
+        nnls(g, (1.0, 2.0), kkt_tol=0.0)
+    np.testing.assert_allclose(excinfo.value.best.coefficients, [0.0, 1.0, 1.0],
+                               rtol=1e-15)
