@@ -19,7 +19,7 @@ from .errors import (ArbitragePresentError, ConvergenceError, DegenerateProblemE
 from .frontier import (FrontierConstants, FrontierSolution, RisklessInfo,
                        efficient_portfolio, find_riskless, frontier_constants,
                        two_fund_compose)
-from .linalg import ConeProjection, PseudoInverseResult, nnls, pinv
+from .linalg import ConeProjection, nnls
 from .market import (Market, Moments, ReturnProfile, load_market, market_from_dict,
                      moments, normalize_portfolio, realized_return, validate_market)
 
@@ -29,11 +29,11 @@ __all__ = [
     "ArbitrageCertificate", "ArbitragePresentError", "CheckReport", "ClassicalCapm",
     "ConditionCheck", "ConeProjection", "ConvergenceError", "DegenerateProblemError",
     "FrontierConstants", "FrontierSolution", "IdentityReport", "Market", "ModelError",
-    "Moments", "PricingMeasure", "PseudoInverseResult", "ReturnProfile", "RisklessInfo",
+    "Moments", "PricingMeasure", "ReturnProfile", "RisklessInfo",
     "SingularCovarianceError", "UnsupportedMarketError", "ValidationError",
     "ZeroCostPortfolioError", "beta", "check_arbitrage", "classical_capm",
     "efficient_portfolio", "find_riskless", "frontier_constants", "load_market",
-    "market_from_dict", "moments", "nnls", "normalize_portfolio", "pinv",
+    "market_from_dict", "moments", "nnls", "normalize_portfolio",
     "realized_return", "risk_neutral_consistency", "two_fund_compose",
     "validate_market", "verify_certificate", "verify_realized_identity",
 ]

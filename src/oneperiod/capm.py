@@ -54,7 +54,7 @@ def beta(market: Market, candidate, fund0, fund1) -> float:
 def _beta(p: np.ndarray, d: np.ndarray, e: np.ndarray) -> float:
     var_e = _cov(p, e, e)
     floor = _VAR_FLOOR_RTOL * max(1.0, float(np.abs(e).max())) ** 2
-    if var_e <= floor:
+    if not var_e > floor:
         raise DegenerateProblemError(
             "fund return profiles are identical; the beta denominator vanishes")
     return _cov(p, d, e) / var_e
@@ -81,7 +81,7 @@ def classical_capm(market: Market, candidate, market_portfolio, riskless) -> Cla
     """Expectation form: ``E[R] - R0`` vs ``beta * (E[R1] - R0)`` with riskless xi0."""
     riskless_profile = realized_return(market, riskless)
     riskless_floor = _VAR_FLOOR_RTOL * max(1.0, float(np.abs(riskless_profile.per_outcome).max())) ** 2
-    if riskless_profile.variance > riskless_floor:
+    if not riskless_profile.variance <= riskless_floor:
         raise ValidationError(
             "the portfolio passed as riskless has nonzero return variance "
             f"({riskless_profile.variance!r})")

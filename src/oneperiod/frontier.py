@@ -129,7 +129,7 @@ def _find_riskless(market: Market, mm: Moments) -> RisklessInfo | None:
 
     cost = float(base @ x)
     cost_floor = ZERO_COST_RTOL * max(1.0, float(np.linalg.norm(base) * np.linalg.norm(x)))
-    if cost <= cost_floor:
+    if not cost > cost_floor:
         raise ArbitragePresentError(
             f"a constant unit payoff is available at nonpositive cost ({cost!r})")
     zeta = base / cost
@@ -187,7 +187,7 @@ def efficient_portfolio(market: Market, target_mean: float) -> FrontierSolution:
     constants, sol_price, sol_mean, triangle = _constants(market, mm)
 
     a, b, c, d = constants.a, constants.b, constants.c, constants.d
-    if abs(d) <= _DEGENERATE_D_RTOL * max(abs(a * c), b * b, 1.0):
+    if not abs(d) > _DEGENERATE_D_RTOL * max(abs(a * c), b * b, 1.0):
         raise DegenerateProblemError(
             "prices and expected payoffs are collinear under the covariance metric; "
             "only one expected return is attainable")

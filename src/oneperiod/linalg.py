@@ -1,31 +1,26 @@
 """Dense linear-algebra kernels.
 
-SVD-based pseudo-inverse with explicit rank decision, and a deterministic
-active-set nonnegative least squares used to project onto finitely
-generated cones. Everything here is a pure function on small dense arrays.
+The rank cutoff shared with the frontier, and a deterministic active-set
+nonnegative least squares used to project onto finitely generated cones.
+Everything here is a pure function on small dense arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-#: singular values below rtol * sigma_max are treated as zero
+#: eigenvalues at or below rtol * lambda_max are treated as zero
 DEFAULT_PINV_RTOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 
-
-@dataclass(frozen=True)
-class PseudoInverseResult:
-    """Moore-Penrose inverse together with the rank decision that produced it."""
-
-    pinv: np.ndarray
-    rank: int
-    cutoff: float
+#: a float32 band holding more than one generator in this many: one float64 pass decides
+_EXACT_SHARE = 8
 
 
 @dataclass(frozen=True)
@@ -35,29 +30,6 @@ class ConeProjection:
     point: np.ndarray
     coefficients: np.ndarray
     residual_norm: float
-
-
-def pinv(matrix, rtol: float = DEFAULT_PINV_RTOL) -> PseudoInverseResult:
-    """Moore-Penrose pseudo-inverse via SVD.
-
-    Singular values at or below ``rtol * sigma_max`` are treated as zero;
-    the number of surviving singular values is reported as the rank.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
-    if not rtol > 0.0:
-        raise ValueError(f"rtol must be positive, got {rtol!r}")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    cutoff = rtol * (float(s[0]) if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
-    if rank == 0:
-        inv = np.zeros((m.shape[1], m.shape[0]))
-    else:
-        inv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
-    return PseudoInverseResult(pinv=inv, rank=rank, cutoff=cutoff)
 
 
 def nnls(generators, target, *, max_iter: int | None = None,
@@ -70,10 +42,11 @@ def nnls(generators, target, *, max_iter: int | None = None,
     on ties.
 
     The passive columns ``G[:, P]`` keep a QR factor that is updated as they
-    enter and leave (Bro & De Jong 1997), so the least-squares solve on the
-    passive set costs O(m |P|) instead of a fresh factorization. The only
-    pass over all of ``G`` per outer step is the dual ``G'r``; the
-    iterates are those of the textbook method, up to rounding.
+    enter and leave (Bro & De Jong 1997), so the only pass over all of ``G``
+    per outer step is the dual ``G'r``. It reads a float32 copy of ``G``,
+    made once per call, at half the bytes; a rigorous bound on its rounding
+    keeps every decision exact, so the iterates are those of the textbook
+    method, up to float64 rounding.
 
     Parameters
     ----------
@@ -103,29 +76,22 @@ def nnls(generators, target, *, max_iter: int | None = None,
         raise ValueError("need at least one generator column")
     if b.shape != (g.shape[0],):
         raise ValueError(f"target shape {b.shape} does not match generator rows {g.shape[0]}")
-    # max |G| without an m x k temporary; NaN or inf makes it non-finite
-    g_max = max(float(g.max(initial=0.0)), -float(g.min(initial=0.0)))
-    if not (np.isfinite(g_max) and np.isfinite(b).all()):
+    pricing = _Pricing(g)
+    if not (np.isfinite(pricing.g_max) and np.isfinite(b).all()):
         raise ValueError("generators and target must be finite")
 
-    m, k = g.shape
     if max_iter is None:
-        max_iter = 10 * k
-    residual = b
-    dual = b @ g  # g' (b - g c): negative gradient of the objective
+        max_iter = 10 * g.shape[1]
+    priced = pricing.price(b)  # g' (b - g c) at c = 0: negative gradient of the objective
     if kkt_tol is None:
-        kkt_tol = 1e-10 * float(np.abs(dual).max())
+        kkt_tol = 1e-10 * pricing.largest_magnitude(b, priced)
 
     factor = _PassiveQR(g, b)
     coeff = np.empty(0)  # coefficients of the passive columns, in factor order
+    residual = b
+    enter = pricing.entering(residual, factor.index[:0], kkt_tol, priced)
     outer = 0
-    while True:
-        passive = factor.index[:factor.size]
-        passive_dual = dual[passive]
-        dual[passive] = -np.inf
-        enter = int(np.argmax(dual))
-        if not dual[enter] > kkt_tol:
-            break
+    while enter is not None:
         if outer >= max_iter:
             best = _projection(g, b, factor, coeff)
             raise ConvergenceError(
@@ -133,13 +99,6 @@ def nnls(generators, target, *, max_iter: int | None = None,
                 f"the KKT conditions (best residual {best.residual_norm!r})",
                 best=best, iterations=outer)
         outer += 1
-        # Duals within the rounding bound of the largest may tie in exact
-        # arithmetic (duplicate generators), but BLAS can round identical
-        # columns differently; recompute those in one summation order.
-        band = 4.0 * m * _EPS * g_max * float(np.abs(residual).sum())
-        near = np.flatnonzero(dual >= dual[enter] - band)
-        if near.size > 1:
-            enter = int(near[np.argmax((g[:, near] * residual[:, None]).sum(axis=0))])
         if not factor.push(enter):
             raise ConvergenceError(
                 f"nnls cannot add generator {enter}: it is linearly dependent on "
@@ -167,17 +126,91 @@ def nnls(generators, target, *, max_iter: int | None = None,
             if not factor.size:
                 break
         residual = b - factor.combine(coeff)
-        np.matmul(residual, g, out=dual)
+        enter = pricing.entering(residual, factor.index[:factor.size], kkt_tol)
 
-    dual[passive] = passive_dual
     result = _projection(g, b, factor, coeff)
-    grad = -dual  # g' (g c - b)
-    if (grad < -kkt_tol).any() or (result.coefficients * grad > kkt_tol).any():
+    # g' (g c - b) on the passive set; the stop test bounds the others
+    grad = factor.columns[:factor.size] @ -residual
+    if (grad < -kkt_tol).any() or (coeff * grad > kkt_tol).any():
         raise ConvergenceError(
             "nnls terminated without a valid KKT certificate "
-            f"(worst gradient {float(grad.min())!r})",
+            f"(worst passive gradient {float(grad.min())!r})",
             best=result, iterations=outer)
     return result
+
+
+class _Pricing:
+    """Chooses the entering generator from the dual ``G'r``, priced in float32.
+
+    ``G`` is copied to float32 once, scaled by a power of two when ``max|G|``
+    lies outside [2**-100, 2**100] so that products and sums stay in range.
+    """
+
+    def __init__(self, g: np.ndarray):
+        self.g, self.shift = g, 0
+        with np.errstate(over="ignore"):  # entries beyond float32's range are rescaled below
+            self.g32 = g.astype(np.float32)
+        #: max |G|, up to the float32 rounding of the copy when it is not scaled
+        self.g_max = self.g32_max = _abs_max(self.g32)
+        if not 2.0**-100 <= self.g32_max <= 2.0**100:
+            self.g_max = _abs_max(g)  # NaN or inf when G is not finite
+            if np.isfinite(self.g_max):
+                self.shift = math.frexp(self.g_max)[1]
+                self.g32 = np.ldexp(g, -self.shift).astype(np.float32)
+                self.g32_max = _abs_max(self.g32)
+        self.dual32 = np.empty(g.shape[1], dtype=np.float32)
+
+    def price(self, residual: np.ndarray):
+        """``(dual32, shift, err)`` with ``|dual32[j] - 2**-shift (G'r)_j| <= err``."""
+        e = math.frexp(float(np.abs(residual).max()))[1]
+        scaled = np.ldexp(residual, -e)  # r_s, max |r_s| < 1
+        np.matmul(scaled.astype(np.float32), self.g32, out=self.dual32)
+        # For G_s = 2**-shift G and r_s, Higham's gamma_m for the float32 dot
+        # product (Accuracy and Stability of Numerical Algorithms, ch. 3) and
+        # the casts' relative rounding of 2**-24 each are within
+        # (m + 2) 2**-23 max|G_s| ||r_s||_1; below float32's normal range each
+        # cast entry and product may lose 2**-150, m 2**-148 (1 + max|G_s|) in all.
+        m = residual.size
+        err = ((m + 2) * 2.0**-23 * self.g32_max * float(np.abs(scaled).sum())
+               + m * 2.0**-148 * (1.0 + self.g32_max))
+        return self.dual32, self.shift + e, err
+
+    def price64(self, residual: np.ndarray):
+        """``price`` in float64 through BLAS; the bound is gamma_m with room to spare."""
+        err = 2.0 * residual.size * _EPS * self.g_max * float(np.abs(residual).sum())
+        return residual @ self.g, 0, err
+
+    def largest_magnitude(self, residual: np.ndarray, priced) -> float:
+        """``max |G'r|``, summed exactly over the generators that may attain it."""
+        dual, shift, err = priced
+        magnitude = np.abs(dual)
+        near = np.flatnonzero(magnitude >= _floor(magnitude, float(magnitude.max()) - 2.0 * err))
+        if near.size > 1 and near.size * _EXACT_SHARE > dual.size:
+            return float(np.abs(self.price64(residual)[0]).max())
+        return float(np.abs(self._sums(residual, near)).max())
+
+    def entering(self, residual: np.ndarray, passive: np.ndarray, kkt_tol: float,
+                 priced=None) -> int | None:
+        """The non-passive generator with the largest dual, lowest index on ties,
+        or None when none exceeds ``kkt_tol``; ``priced`` is ``price(residual)``."""
+        dual, shift, err = self.price(residual) if priced is None else priced
+        dual[passive] = -np.inf
+        top = float(dual.max())
+        with np.errstate(over="ignore"):
+            if top + err <= np.ldexp(kkt_tol, -shift):
+                return None
+        # exact_j <= dual_j + err < top - err <= the exact dual at the argmax
+        near = np.flatnonzero(dual >= _floor(dual, top - 2.0 * err))
+        if dual.dtype == np.float32 and near.size > 1 and near.size * _EXACT_SHARE > dual.size:
+            return self.entering(residual, passive, kkt_tol, self.price64(residual))
+        sums = self._sums(residual, near)
+        best = int(np.argmax(sums))
+        return int(near[best]) if sums[best] > kkt_tol else None
+
+    def _sums(self, residual: np.ndarray, near: np.ndarray) -> np.ndarray:
+        # Column by column in one order, so that duplicate generators tie
+        # exactly: BLAS can round identical columns differently.
+        return (self.g[:, near] * residual[:, None]).sum(axis=0)
 
 
 class _PassiveQR:
@@ -252,6 +285,17 @@ class _PassiveQR:
     def combine(self, coeff: np.ndarray) -> np.ndarray:
         """``G[:, P] @ coeff``."""
         return coeff @ self.columns[:self.size]
+
+
+def _floor(a: np.ndarray, value: float):
+    """The largest number of ``a``'s dtype at or below ``value``."""
+    floor = a.dtype.type(value)
+    return np.nextafter(floor, a.dtype.type(-np.inf)) if float(floor) > value else floor
+
+
+def _abs_max(a: np.ndarray) -> float:
+    """max |a| without a temporary the size of ``a``; NaN when ``a`` holds one."""
+    return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
 
 
 def _projection(g: np.ndarray, b: np.ndarray, factor: _PassiveQR,

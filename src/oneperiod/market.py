@@ -146,22 +146,26 @@ def validate_market(market: Market) -> Market:
         if len(set(market.outcome_labels)) != cols:
             raise ValidationError("outcome labels must be unique")
 
-    for i, v in enumerate(market.prices):
-        if not np.isfinite(v):
-            raise ValidationError(
-                f"price of instrument '{market.instruments[i]}' (index {i}) is not finite")
+    bad = np.flatnonzero(~np.isfinite(market.prices))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(
+            f"price of instrument '{market.instruments[i]}' (index {i}) is not finite")
     bad = np.argwhere(~np.isfinite(market.payoffs))
     if bad.size:
         i, w = (int(v) for v in bad[0])
         raise ValidationError(
             f"payoff of instrument '{market.instruments[i]}' in outcome {w} is not finite")
 
-    for w, p in enumerate(market.probabilities):
+    probabilities = market.probabilities
+    bad = np.flatnonzero(~(np.isfinite(probabilities) & (probabilities >= MIN_PROBABILITY)))
+    if bad.size:
+        w = int(bad[0])
+        p = float(probabilities[w])
         if not np.isfinite(p):
             raise ValidationError(f"probability of outcome {w} is not finite")
-        if p < MIN_PROBABILITY:
-            raise ValidationError(
-                f"probability of outcome {w} is {p!r}; must be at least {MIN_PROBABILITY}")
+        raise ValidationError(
+            f"probability of outcome {w} is {p!r}; must be at least {MIN_PROBABILITY}")
     total = float(market.probabilities.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValidationError(

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_invertible_market, random_riskless_market
+from oneperiod import capm
 from oneperiod.capm import beta, classical_capm, verify_realized_identity
 from oneperiod.errors import DegenerateProblemError, ValidationError
 from oneperiod.frontier import efficient_portfolio, find_riskless, frontier_constants
-from oneperiod.market import normalize_portfolio, realized_return
+from oneperiod.market import ReturnProfile, normalize_portfolio, realized_return
 
 
 def test_beta_of_fund1_is_one(m1):
@@ -86,6 +87,23 @@ def test_classical_capm_market_candidate(m1):
 def test_classical_capm_rejects_risky_riskless(m1):
     with pytest.raises(ValidationError, match="riskless"):
         classical_capm(m1, (0.5, 0.5), (0.0, 1.0), (0.5, 0.5))
+
+
+def test_beta_fails_closed_on_nan_profile():
+    p = np.array([0.5, 0.5])
+    with pytest.raises(DegenerateProblemError):
+        capm._beta(p, np.array([0.1, -0.1]), np.array([np.nan, 0.2]))
+
+
+def test_classical_capm_fails_closed_on_nan_riskless_variance(m1, monkeypatch):
+    def nan_variance(market, portfolio):
+        profile = realized_return(market, portfolio)
+        return ReturnProfile(per_outcome=profile.per_outcome, mean=profile.mean,
+                             variance=float("nan"))
+
+    monkeypatch.setattr(capm, "realized_return", nan_variance)
+    with pytest.raises(ValidationError, match="riskless"):
+        classical_capm(m1, (0.5, 0.5), (0.0, 1.0), (1.0, 0.0))
 
 
 def test_pointwise_identity_implies_expectation_form():

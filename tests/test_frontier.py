@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (brute_moments, invert_2x2, line_search_min_variance,
                       random_invertible_market, random_riskless_market)
+from oneperiod import frontier
 from oneperiod.errors import (ArbitragePresentError, DegenerateProblemError,
                               SingularCovarianceError, UnsupportedMarketError,
                               ValidationError)
@@ -55,6 +56,12 @@ def test_find_riskless_all_constant_market_has_degenerate_tangency():
     info = find_riskless(market)
     assert info.tangency is None
     assert info.gross_return == pytest.approx(1.2, rel=1e-12)
+
+
+def test_riskless_cost_check_fails_closed_on_nan(m1, monkeypatch):
+    monkeypatch.setattr(frontier, "ZERO_COST_RTOL", float("nan"))
+    with pytest.raises(ArbitragePresentError, match="nonpositive cost"):
+        frontier._find_riskless(m1, moments(m1))
 
 
 def test_find_riskless_single_asset():
@@ -146,6 +153,12 @@ def test_efficient_m3_golden(m3):
 def test_efficient_rejects_degenerate_target_space():
     with pytest.raises(DegenerateProblemError, match="one expected return"):
         efficient_portfolio(d_zero_market(), 1.2)
+
+
+def test_degenerate_d_check_fails_closed_on_nan(m3, monkeypatch):
+    monkeypatch.setattr(frontier, "_DEGENERATE_D_RTOL", float("nan"))
+    with pytest.raises(DegenerateProblemError, match="one expected return"):
+        efficient_portfolio(m3, 1.12)
 
 
 def test_efficient_rejects_singular_without_riskless():

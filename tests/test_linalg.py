@@ -1,78 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from conftest import nnls_grid_oracle, nnls_textbook
+from oneperiod import linalg
 from oneperiod.errors import ConvergenceError
-from oneperiod.linalg import nnls, pinv
-
-
-def random_orthogonal(rng, n):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return q
-
-
-def rank_deficient_matrix(rng, m, n, rank):
-    """A = U diag(s) W' with exactly `rank` nonzero singular values."""
-    s = np.zeros(min(m, n))
-    s[:rank] = np.sort(rng.uniform(0.5, 3.0, size=rank))[::-1]
-    u = random_orthogonal(rng, m)[:, :s.size]
-    w = random_orthogonal(rng, n)[:, :s.size]
-    return (u * s) @ w.T, rank
-
-
-def penrose_violation(matrix, result):
-    a = np.asarray(matrix, dtype=float)
-    p = result.pinv
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(p).max()))
-    return max(
-        float(np.abs(a @ p @ a - a).max()),
-        float(np.abs(p @ a @ p - p).max()),
-        float(np.abs((a @ p) - (a @ p).T).max()),
-        float(np.abs((p @ a) - (p @ a).T).max()),
-    ) / scale
-
-
-def test_pinv_identity():
-    result = pinv(np.eye(4))
-    np.testing.assert_allclose(result.pinv, np.eye(4), atol=1e-14)
-    assert result.rank == 4
-
-
-def test_pinv_zero_matrix():
-    result = pinv(np.zeros((3, 2)))
-    assert result.rank == 0
-    assert result.pinv.shape == (2, 3)
-    np.testing.assert_array_equal(result.pinv, np.zeros((2, 3)))
-
-
-def test_pinv_singular_diagonal():
-    result = pinv(np.diag([0.0, 0.0384]))
-    assert result.rank == 1
-    np.testing.assert_allclose(result.pinv, np.diag([0.0, 26.041666666666668]),
-                               rtol=1e-12)
-
-
-def test_pinv_rejects_bad_input():
-    with pytest.raises(ValueError):
-        pinv(np.ones(3))
-    with pytest.raises(ValueError):
-        pinv([[1.0, np.nan]])
-    with pytest.raises(ValueError):
-        pinv(np.eye(2), rtol=0.0)
-
-
-def test_pinv_penrose_conditions_random():
-    rng = np.random.default_rng(303)
-    for _ in range(40):
-        m = int(rng.integers(1, 9))
-        n = int(rng.integers(1, 9))
-        if rng.uniform() < 0.5:
-            a = rng.normal(size=(m, n))
-        else:
-            a, expected_rank = rank_deficient_matrix(
-                rng, m, n, int(rng.integers(0, min(m, n) + 1)))
-            assert pinv(a).rank == expected_rank
-        assert penrose_violation(a, pinv(a)) <= 1e-9
+from oneperiod.linalg import nnls
 
 
 # -- nonnegative least squares -------------------------------------------------
@@ -176,23 +110,105 @@ def _textbook_problems(rng):
             g = rng.uniform(0.5, 1.5, size=(m, k))
         yield g, rng.normal(size=m)
     for n, k in ((16, 400), (24, 300)):
-        payoffs = rng.uniform(0.5, 1.5, size=(n, k))
-        prices = payoffs @ rng.uniform(0.1, 1.0, size=k)
-        yield payoffs, prices
-        yield np.vstack([payoffs, payoffs[3]]), np.append(prices, 1.05 * prices[3])
+        yield from _planted_and_clone(rng, n, k)
+    # Money units far outside float32's normal range: the float32 copy of the
+    # payoffs is rescaled by a power of two.
+    for unit in (2.0**140, 2.0**-140, 1e-41):
+        for g, b in _planted_and_clone(rng, 12, 200):
+            yield unit * g, unit * b
+
+
+def _planted_and_clone(rng, n, k):
+    payoffs = rng.uniform(0.5, 1.5, size=(n, k))
+    prices = payoffs @ rng.uniform(0.1, 1.0, size=k)
+    yield payoffs, prices
+    yield np.vstack([payoffs, payoffs[3]]), np.append(prices, 1.05 * prices[3])
+
+
+def _assert_textbook_iterates(g, b):
+    expected, steps = nnls_textbook(g, b)
+    coefficients = nnls(g, b).coefficients
+    np.testing.assert_array_equal(coefficients > 0.0, expected > 0.0)
+    scale = float(np.abs(expected).max())
+    assert float(np.abs(coefficients - expected).max()) <= 1e-12 * scale
+    return steps
 
 
 def test_nnls_matches_textbook_iterates():
     rng = np.random.default_rng(808)
     drops = 0
     for g, b in _textbook_problems(rng):
-        expected, steps = nnls_textbook(g, b)
-        drops += steps
-        coefficients = nnls(g, b).coefficients
-        np.testing.assert_array_equal(coefficients > 0.0, expected > 0.0)
-        scale = float(np.abs(expected).max())
-        assert float(np.abs(coefficients - expected).max()) <= 1e-12 * scale
+        drops += _assert_textbook_iterates(g, b)
     assert drops >= 20  # the drop rule is exercised, not only the entering rule
+
+
+def test_nnls_float64_pass_matches_textbook_iterates(monkeypatch):
+    # At a marked-up clone's last step every dual is at rounding level, so the
+    # float32 band holds most generators and one float64 pass decides instead.
+    passes = []
+    price64 = linalg._Pricing.price64
+
+    def counted(self, residual):
+        passes.append(residual)
+        return price64(self, residual)
+
+    monkeypatch.setattr(linalg._Pricing, "price64", counted)
+    rng = np.random.default_rng(812)
+    _, (g, b) = _planted_and_clone(rng, 24, 3000)
+    _assert_textbook_iterates(g, b)
+    assert passes
+
+
+def test_float32_pricing_decides_by_the_exact_dual():
+    # Float32 rounds column 0 to (1 + u, 1) and column 1 to (1, 1), so against
+    # r = (1, -1) it prices them at u and 0, while their exact duals are 0.02 u
+    # and 0.49 u.
+    u = 2.0**-23
+    g = np.array([[1.0 + 0.51 * u, 1.0 + 0.49 * u], [1.0 + 0.49 * u, 1.0]])
+    r = np.array([1.0, -1.0])
+    no_passive = np.empty(0, dtype=np.intp)
+    assert linalg._Pricing(g).entering(r, no_passive, kkt_tol=0.0) == 1
+    pricing = linalg._Pricing(g)
+    assert pricing.largest_magnitude(r, pricing.price(r)) == g[0, 1] - g[1, 1]
+    # A float32 dual of 0 does not stop the loop when the exact one exceeds kkt_tol.
+    assert linalg._Pricing(g[:, 1:]).entering(r, no_passive, kkt_tol=0.25 * u) == 0
+    assert linalg._Pricing(g[:, 1:]).entering(r, no_passive, kkt_tol=0.5 * u) is None
+
+
+def test_float32_band_threshold_rounds_down():
+    floor = linalg._floor(np.zeros(1, dtype=np.float32), 0.1)  # float32(0.1) > 0.1
+    assert floor.dtype == np.float32
+    assert float(floor) <= 0.1 < float(np.nextafter(floor, np.float32(1.0)))
+
+
+def _float32_pricing_cases(rng):
+    """Random payoffs, payoffs spread over wide exponent ranges (rescaled, or
+    with entries below float32's normal range) and payoffs with a cloned row."""
+    for case in range(64):
+        m = int(rng.integers(1, 12)) if case < 60 else int(rng.integers(64, 200))
+        k = int(rng.integers(1, 30))
+        g = rng.normal(size=(m, k))
+        kind = case % 4
+        if kind == 1:
+            g *= np.exp2(rng.integers(-170, 170, size=(m, k)))
+        elif kind == 2:
+            g *= np.exp2(rng.integers(-160, 40, size=(m, k)))
+        elif kind == 3 and m > 1:
+            g[int(rng.integers(1, m))] = g[0]
+        residual = rng.normal(size=m) * np.exp2(rng.integers(-60, 60, size=m))
+        yield g, residual
+
+
+def test_float32_pricing_error_is_within_its_bound():
+    rng = np.random.default_rng(909)
+    for g, residual in _float32_pricing_cases(rng):
+        dual32, shift, err = linalg._Pricing(g).price(residual)
+        unit = Fraction(2) ** -shift
+        bound = Fraction(err)
+        for j in range(g.shape[1]):
+            exact = sum(Fraction(float(g[i, j])) * Fraction(float(residual[i]))
+                        for i in range(g.shape[0]))
+            assert abs(Fraction(float(dual32[j])) - unit * exact) <= bound
 
 
 def test_nnls_factors_nothing_from_scratch(monkeypatch):

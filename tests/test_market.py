@@ -38,6 +38,22 @@ def test_validate_rejects_bad_probability_entries(probabilities, fragment):
         validate_market(market)
 
 
+@pytest.mark.parametrize("prices, probabilities, message", [
+    ((1.0, 1.0), (0.5, 0.0, float("nan")),
+     "probability of outcome 1 is 0.0; must be at least 1e-12"),
+    ((1.0, 1.0), (0.5, -0.1, 0.6),
+     "probability of outcome 1 is -0.1; must be at least 1e-12"),
+    ((1.0, 1.0), (0.5, float("inf"), -1.0), "probability of outcome 1 is not finite"),
+    ((1.0, float("nan")), (0.5, 0.5, 0.0), "price of instrument 'b' (index 1) is not finite"),
+])
+def test_validate_reports_first_offender_in_plain_numbers(prices, probabilities, message):
+    market = Market(instruments=("a", "b"), prices=prices,
+                    payoffs=[[1.0, 1.1, 1.2], [0.9, 1.0, 1.3]], probabilities=probabilities)
+    with pytest.raises(ValidationError) as excinfo:
+        validate_market(market)
+    assert str(excinfo.value) == message
+
+
 def test_validate_rejects_shape_mismatches():
     with pytest.raises(ValidationError, match="2 rows"):
         validate_market(Market(instruments=("a",), prices=(1.0,),
