@@ -11,8 +11,7 @@ library is safe to use from any number of concurrent callers.
 from .arbitrage import (ArbitrageCertificate, CheckReport, ConditionCheck,
                         PricingMeasure, check_arbitrage, risk_neutral_consistency,
                         verify_certificate)
-from .capm import (ClassicalCapm, IdentityReport, beta, classical_capm,
-                   verify_realized_identity)
+from .capm import IdentityReport, verify_realized_identity
 from .errors import (ArbitragePresentError, ConvergenceError, DegenerateProblemError,
                      ModelError, SingularCovarianceError, UnsupportedMarketError,
                      ValidationError, ZeroCostPortfolioError)
@@ -21,19 +20,18 @@ from .frontier import (FrontierConstants, FrontierSolution, RisklessInfo,
                        two_fund_compose)
 from .linalg import ConeProjection, nnls
 from .market import (Market, Moments, ReturnProfile, load_market, market_from_dict,
-                     moments, normalize_portfolio, realized_return, validate_market)
+                     moments, realized_return, validate_market)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
-    "ArbitrageCertificate", "ArbitragePresentError", "CheckReport", "ClassicalCapm",
-    "ConditionCheck", "ConeProjection", "ConvergenceError", "DegenerateProblemError",
-    "FrontierConstants", "FrontierSolution", "IdentityReport", "Market", "ModelError",
-    "Moments", "PricingMeasure", "ReturnProfile", "RisklessInfo",
-    "SingularCovarianceError", "UnsupportedMarketError", "ValidationError",
-    "ZeroCostPortfolioError", "beta", "check_arbitrage", "classical_capm",
-    "efficient_portfolio", "find_riskless", "frontier_constants", "load_market",
-    "market_from_dict", "moments", "nnls", "normalize_portfolio",
-    "realized_return", "risk_neutral_consistency", "two_fund_compose",
-    "validate_market", "verify_certificate", "verify_realized_identity",
+    "ArbitrageCertificate", "ArbitragePresentError", "CheckReport", "ConditionCheck",
+    "ConeProjection", "ConvergenceError", "DegenerateProblemError", "FrontierConstants",
+    "FrontierSolution", "IdentityReport", "Market", "ModelError", "Moments",
+    "PricingMeasure", "ReturnProfile", "RisklessInfo", "SingularCovarianceError",
+    "UnsupportedMarketError", "ValidationError", "ZeroCostPortfolioError",
+    "check_arbitrage", "efficient_portfolio", "find_riskless", "frontier_constants",
+    "load_market", "market_from_dict", "moments", "nnls", "realized_return",
+    "risk_neutral_consistency", "two_fund_compose", "validate_market",
+    "verify_certificate", "verify_realized_identity",
 ]

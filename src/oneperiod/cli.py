@@ -16,30 +16,15 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass
 
-import numpy as np
-
-from .arbitrage import (ArbitrageCertificate, CheckReport, check_arbitrage,
-                        verify_certificate)
+from .arbitrage import (DEFAULT_TOLERANCE, ArbitrageCertificate, CheckReport,
+                        check_arbitrage, verify_certificate)
 from .capm import verify_realized_identity
 from .errors import ConvergenceError, ModelError, ValidationError
-from .frontier import efficient_portfolio, find_riskless
-from .market import Market, load_market, moments, realized_return
+from .frontier import _efficient, _find_riskless, efficient_portfolio
+from .market import Market, Moments, load_market, moments, realized_return
 
 COMMANDS = ("check", "frontier", "capm", "arbitrage", "measure")
-DEFAULT_TOL = 1e-9
-
-
-@dataclass
-class RunConfig:
-    command: str
-    model_path: str
-    rho: float | None = None
-    rho0: float | None = None
-    rho1: float | None = None
-    tol: float = DEFAULT_TOL
-    output_format: str = "text"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,8 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyze a one-period market model from a JSON market file.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", required=True, help="path to the market JSON file")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="numerical tolerance used by the command (default 1e-9)")
+    common.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+                        help="tolerance of the arbitrage and measure commands; the other "
+                             f"commands only echo it in the report (default {DEFAULT_TOLERANCE!r})")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         dest="output_format", help="report format (default text)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -74,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv=None) -> RunConfig:
+def parse_config(argv=None) -> argparse.Namespace:
     parser = build_parser()
     ns = parser.parse_args(argv)
     rho = getattr(ns, "rho", None)
@@ -89,31 +75,29 @@ def parse_config(argv=None) -> RunConfig:
             raise ValidationError(f"{flag} must be a finite number, got {value!r}")
     if not (math.isfinite(ns.tol) and ns.tol > 0.0):
         raise ValidationError(f"--tol must be finite and positive, got {ns.tol!r}")
-    return RunConfig(command=ns.command, model_path=ns.model,
-                     rho=rho, rho0=rho0, rho1=rho1,
-                     tol=ns.tol, output_format=ns.output_format)
+    return ns
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one command and print its report; returns the exit status."""
-    market = load_market(config.model_path)
+    market = load_market(args.model)
     builder = {
         "check": _run_check,
         "frontier": _run_frontier,
         "capm": _run_capm,
         "arbitrage": _arbitrage_result,
         "measure": _run_measure,
-    }[config.command]
-    result = builder(market, config)
+    }[args.command]
+    result = builder(market, args)
     if result is None:  # measure found arbitrage; diagnostic already printed
         return 3
     report = {
-        "command": config.command,
-        "model": config.model_path,
-        "tolerance": config.tol,
+        "command": args.command,
+        "model": args.model,
+        "tolerance": args.tol,
         "result": result,
     }
-    if config.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps(report, indent=2, allow_nan=False))
     else:
         print(_render_text(report), end="")
@@ -151,7 +135,7 @@ def _labeled(names, values) -> dict:
     return {name: float(v) for name, v in zip(names, values)}
 
 
-def _run_check(market: Market, config: RunConfig) -> dict:
+def _run_check(market: Market, args: argparse.Namespace) -> dict:
     mm = moments(market)
     names = market.instruments
     return {
@@ -167,8 +151,8 @@ def _run_check(market: Market, config: RunConfig) -> dict:
     }
 
 
-def _run_frontier(market: Market, config: RunConfig) -> dict:
-    solution = efficient_portfolio(market, config.rho)
+def _run_frontier(market: Market, args: argparse.Namespace) -> dict:
+    solution = efficient_portfolio(market, args.rho)
     return {
         "mode": solution.mode,
         "target_mean": solution.target_mean,
@@ -179,10 +163,11 @@ def _run_frontier(market: Market, config: RunConfig) -> dict:
     }
 
 
-def _fund_targets(market: Market, config: RunConfig) -> tuple[float, float]:
-    if config.rho0 is not None and config.rho1 is not None:
-        return config.rho0, config.rho1
-    info = find_riskless(market)
+def _fund_targets(market: Market, mm: Moments,
+                  args: argparse.Namespace) -> tuple[float, float]:
+    if args.rho0 is not None:
+        return args.rho0, args.rho1
+    info = _find_riskless(market, mm)
     if info is None:
         raise ValidationError(
             "market has no riskless portfolio to infer fund targets from; "
@@ -194,16 +179,17 @@ def _fund_targets(market: Market, config: RunConfig) -> tuple[float, float]:
     return info.gross_return, realized_return(market, info.tangency).mean
 
 
-def _run_capm(market: Market, config: RunConfig) -> dict:
-    rho0, rho1 = _fund_targets(market, config)
-    candidate = efficient_portfolio(market, config.rho)
-    fund0 = efficient_portfolio(market, rho0)
-    fund1 = efficient_portfolio(market, rho1)
+def _run_capm(market: Market, args: argparse.Namespace) -> dict:
+    mm = moments(market)
+    rho0, rho1 = _fund_targets(market, mm, args)
+    candidate = _efficient(market, mm, args.rho)
+    fund0 = _efficient(market, mm, rho0)
+    fund1 = _efficient(market, mm, rho1)
     report = verify_realized_identity(market, candidate.portfolio,
                                       fund0.portfolio, fund1.portfolio)
     return {
         "beta": report.beta,
-        "target_mean": float(config.rho),
+        "target_mean": float(args.rho),
         "fund0_mean": float(rho0),
         "fund1_mean": float(rho1),
         "portfolio": _labeled(market.instruments, candidate.portfolio),
@@ -224,9 +210,9 @@ def _check_report_dict(report: CheckReport) -> dict:
     }
 
 
-def _arbitrage_result(market: Market, config: RunConfig) -> dict:
-    outcome = check_arbitrage(market, tol=config.tol)
-    verification = verify_certificate(market, outcome, tol=config.tol)
+def _arbitrage_result(market: Market, args: argparse.Namespace) -> dict:
+    outcome = check_arbitrage(market, tol=args.tol)
+    verification = verify_certificate(market, outcome, tol=args.tol)
     names = _outcome_names(market)
     if isinstance(outcome, ArbitrageCertificate):
         return {
@@ -249,10 +235,10 @@ def _arbitrage_result(market: Market, config: RunConfig) -> dict:
     }
 
 
-def _run_measure(market: Market, config: RunConfig):
-    result = _arbitrage_result(market, config)
+def _run_measure(market: Market, args: argparse.Namespace):
+    result = _arbitrage_result(market, args)
     if result["outcome"] == "arbitrage":
-        print(f"error: arbitrage exists in '{config.model_path}'; "
+        print(f"error: arbitrage exists in '{args.model}'; "
               "no pricing measure is available", file=sys.stderr)
         return None
     return result

@@ -181,7 +181,10 @@ def efficient_portfolio(market: Market, target_mean: float) -> FrontierSolution:
     rho = float(target_mean)
     if not np.isfinite(rho):
         raise ValidationError(f"target expected return must be finite, got {rho!r}")
-    mm = moments(market)
+    return _efficient(market, moments(market), rho)
+
+
+def _efficient(market: Market, mm: Moments, rho: float) -> FrontierSolution:
     if _nullity(mm):
         return _riskless_route(market, mm, rho)
     constants, sol_price, sol_mean, triangle = _constants(market, mm)

@@ -32,10 +32,20 @@ _OPTIONAL_KEYS = ("outcome_labels",)
 
 
 def _frozen_array(values, ndim: int, what: str) -> np.ndarray:
+    # numpy's own type discovery, so that strings, null and nested objects are
+    # refused instead of cast; integers too large for numpy arrive as objects.
     try:
-        arr = np.array(values, dtype=float)
+        arr = np.array(values)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} is not numeric: {exc}") from None
+    if arr.dtype.kind == "O" and all(isinstance(v, (int, float)) for v in arr.flat):
+        try:
+            arr = arr.astype(float)
+        except OverflowError:
+            raise ValidationError(f"{what} holds a number beyond the float range") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} is not numeric")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != ndim:
         raise ValidationError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -226,12 +236,6 @@ def realized_return(market: Market, portfolio) -> ReturnProfile:
     centered = per_outcome - mean
     variance = float(p @ (centered * centered))
     return ReturnProfile(per_outcome=per_outcome, mean=mean, variance=variance)
-
-
-def normalize_portfolio(market: Market, portfolio) -> np.ndarray:
-    """Rescale to unit cost (``xi @ prices == 1``)."""
-    xi = as_portfolio(market, portfolio)
-    return xi / portfolio_cost(market, xi)
 
 
 def market_from_dict(document: dict, source: str = "<dict>") -> Market:

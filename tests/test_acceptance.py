@@ -15,7 +15,7 @@ from conftest import (brute_moments, invert_2x2, line_search_min_variance,
                       random_riskless_market)
 from oneperiod.arbitrage import (ArbitrageCertificate, PricingMeasure,
                                  check_arbitrage, verify_certificate)
-from oneperiod.capm import beta, verify_realized_identity
+from oneperiod.capm import verify_realized_identity
 from oneperiod.frontier import (efficient_portfolio, find_riskless,
                                 frontier_constants)
 from oneperiod.market import Market, moments, realized_return
@@ -62,7 +62,8 @@ def test_criterion_2_riskless_route_identity():
         rhs = solution.mu * (realized_return(market, info.tangency).per_outcome
                              - info.gross_return)
         worst_residual = max(worst_residual, float(np.abs(lhs - rhs).max()))
-        b = beta(market, solution.portfolio, info.portfolio, info.tangency)
+        b = verify_realized_identity(market, solution.portfolio, info.portfolio,
+                                     info.tangency).beta
         worst_mu_gap = max(worst_mu_gap, abs(solution.mu - b))
     ok = worst_residual <= 1e-9 and worst_mu_gap <= 1e-8
     report("criterion-2 riskless-route identity", ok,

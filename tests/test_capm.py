@@ -3,29 +3,36 @@ import pytest
 
 from conftest import random_invertible_market, random_riskless_market
 from oneperiod import capm
-from oneperiod.capm import beta, classical_capm, verify_realized_identity
-from oneperiod.errors import DegenerateProblemError, ValidationError
+from oneperiod.capm import verify_realized_identity
+from oneperiod.errors import DegenerateProblemError
 from oneperiod.frontier import efficient_portfolio, find_riskless, frontier_constants
-from oneperiod.market import ReturnProfile, normalize_portfolio, realized_return
+from oneperiod.market import portfolio_cost, realized_return
+
+
+def unit_cost(market, portfolio):
+    xi = np.asarray(portfolio, dtype=float)
+    return xi / portfolio_cost(market, xi)
 
 
 def test_beta_of_fund1_is_one(m1):
-    assert beta(m1, (0.0, 1.0), (1.0, 0.0), (0.0, 1.0)) == pytest.approx(1.0, rel=1e-12)
+    b = verify_realized_identity(m1, (0.0, 1.0), (1.0, 0.0), (0.0, 1.0)).beta
+    assert b == pytest.approx(1.0, rel=1e-12)
 
 
 def test_beta_of_fund0_is_zero(m1):
-    assert beta(m1, (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+    b = verify_realized_identity(m1, (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)).beta
+    assert b == pytest.approx(0.0, abs=1e-12)
 
 
 def test_beta_m1_hand_value(m1):
-    b = beta(m1, (0.5, 0.5), (1.0, 0.0), (0.0, 1.0))
+    b = verify_realized_identity(m1, (0.5, 0.5), (1.0, 0.0), (0.0, 1.0)).beta
     assert b == pytest.approx(0.5, rel=1e-12)
     assert b == pytest.approx(efficient_portfolio(m1, 1.12).mu, rel=1e-10)
 
 
 def test_beta_rejects_identical_funds(m1):
     with pytest.raises(DegenerateProblemError, match="identical"):
-        beta(m1, (0.5, 0.5), (0.0, 1.0), (0.0, 2.0))
+        verify_realized_identity(m1, (0.5, 0.5), (0.0, 1.0), (0.0, 2.0))
 
 
 def test_identity_m1_hand_case(m1):
@@ -64,46 +71,10 @@ def test_identity_expectation_gap_bound(m3):
         assert report.expectation_gap <= weighted + 1e-12
 
 
-def test_classical_capm_m1_hand_values(m1):
-    result = classical_capm(m1, (0.5, 0.5), (0.0, 1.0), (1.0, 0.0))
-    assert result.beta == pytest.approx(0.5, rel=1e-12)
-    assert result.lhs == pytest.approx(0.02, rel=1e-10)
-    assert result.rhs == pytest.approx(0.02, rel=1e-10)
-
-
-def test_classical_capm_riskless_candidate(m1):
-    result = classical_capm(m1, (2.0, 0.0), (0.0, 1.0), (1.0, 0.0))
-    assert result.beta == pytest.approx(0.0, abs=1e-12)
-    assert result.lhs == pytest.approx(0.0, abs=1e-12)
-    assert result.rhs == pytest.approx(0.0, abs=1e-12)
-
-
-def test_classical_capm_market_candidate(m1):
-    result = classical_capm(m1, (0.0, 1.0), (0.0, 1.0), (1.0, 0.0))
-    assert result.beta == pytest.approx(1.0, rel=1e-12)
-    assert result.lhs == pytest.approx(result.rhs, rel=1e-12)
-
-
-def test_classical_capm_rejects_risky_riskless(m1):
-    with pytest.raises(ValidationError, match="riskless"):
-        classical_capm(m1, (0.5, 0.5), (0.0, 1.0), (0.5, 0.5))
-
-
 def test_beta_fails_closed_on_nan_profile():
     p = np.array([0.5, 0.5])
     with pytest.raises(DegenerateProblemError):
         capm._beta(p, np.array([0.1, -0.1]), np.array([np.nan, 0.2]))
-
-
-def test_classical_capm_fails_closed_on_nan_riskless_variance(m1, monkeypatch):
-    def nan_variance(market, portfolio):
-        profile = realized_return(market, portfolio)
-        return ReturnProfile(per_outcome=profile.per_outcome, mean=profile.mean,
-                             variance=float("nan"))
-
-    monkeypatch.setattr(capm, "realized_return", nan_variance)
-    with pytest.raises(ValidationError, match="riskless"):
-        classical_capm(m1, (0.5, 0.5), (0.0, 1.0), (1.0, 0.0))
 
 
 def test_pointwise_identity_implies_expectation_form():
@@ -115,22 +86,29 @@ def test_pointwise_identity_implies_expectation_form():
         if abs(float(xi @ market.prices)) < 1e-2:
             continue
         report = verify_realized_identity(market, xi, info.portfolio, info.tangency)
-        classical = classical_capm(market, xi, info.tangency, info.portfolio)
-        # with a riskless fund0 the general beta reduces to the classical one
-        assert classical.beta == pytest.approx(report.beta, rel=1e-9, abs=1e-12)
-        weighted = float(market.probabilities @ np.abs(report.residual_per_outcome))
-        assert abs(classical.lhs - classical.rhs) <= weighted + 1e-12
+        # with a riskless fund0 the general beta reduces to the classical
+        # Cov(R, R1) / Var(R1), and the expectation form to
+        # E[R] - R0 = beta (E[R1] - R0)
+        p = market.probabilities
+        r = realized_return(market, xi)
+        r1 = realized_return(market, info.tangency)
+        cov = float(p @ ((r.per_outcome - r.mean) * (r1.per_outcome - r1.mean)))
+        assert report.beta == pytest.approx(cov / r1.variance, rel=1e-9, abs=1e-12)
+        r0 = info.gross_return
+        lhs, rhs = r.mean - r0, report.beta * (r1.mean - r0)
+        assert report.expectation_gap == pytest.approx(abs(lhs - rhs), abs=1e-12)
+        weighted = float(p @ np.abs(report.residual_per_outcome))
+        assert report.expectation_gap <= weighted + 1e-12
 
 
 def test_beta_invariant_under_fund_rescaling(m3):
     xi = efficient_portfolio(m3, 1.12).portfolio
     xi0 = efficient_portfolio(m3, 1.05).portfolio
     xi1 = efficient_portfolio(m3, 1.20).portfolio
-    rescaled = normalize_portfolio(m3, 2.0 * xi1)
-    assert beta(m3, xi, xi0, rescaled) == pytest.approx(beta(m3, xi, xi0, xi1),
-                                                        rel=1e-12)
+    rescaled = unit_cost(m3, 2.0 * xi1)
     a = verify_realized_identity(m3, xi, xi0, xi1)
     b = verify_realized_identity(m3, xi, xi0, rescaled)
+    assert b.beta == pytest.approx(a.beta, rel=1e-12)
     np.testing.assert_allclose(a.residual_per_outcome, b.residual_per_outcome,
                                atol=1e-12)
 
@@ -156,7 +134,7 @@ def test_identity_characterizes_efficient_span():
         if abs(float(raw @ market.prices)) < 1e-2:
             random_misses += 1  # cannot normalize; count as a miss conservatively
             continue
-        random_xi = normalize_portfolio(market, raw)
+        random_xi = unit_cost(market, raw)
         if verify_realized_identity(market, random_xi, xi0, xi1).max_abs_residual > 1e-4:
             random_misses += 1
     assert efficient_hits == draws

@@ -190,6 +190,22 @@ def test_unknown_document_key_is_named(capsys, tmp_path):
     assert "fees" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("price, message", [
+    ('"1.0"', "prices is not numeric"),
+    ("1" + "0" * 400, "prices holds a number beyond the float range"),
+], ids=["string", "401-digit-integer"])
+def test_non_numeric_price_exits_2_with_one_line_error(capsys, tmp_path, price, message):
+    path = tmp_path / "prices.json"
+    path.write_text('{"instruments": ["a", "b"], "prices": [%s, 1.0], '
+                    '"probabilities": [1.0], "payoffs": [[1.0], [1.0]]}' % price)
+    code = cli.main(["check", "--model", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_degenerate_frontier_request_exits_2(capsys, m2_path):
     code = cli.main(["frontier", "--model", m2_path, "--rho", "1.05"])
     assert code == 2

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from conftest import (brute_moments, invert_2x2, line_search_min_variance,
-                      random_invertible_market, random_riskless_market)
-from oneperiod import frontier
+from conftest import (brute_moments, invert_2x2, line_search_min_variance, market_m1,
+                      market_m3, random_invertible_market, random_riskless_market)
+from oneperiod import cli, frontier
 from oneperiod.errors import (ArbitragePresentError, DegenerateProblemError,
                               SingularCovarianceError, UnsupportedMarketError,
                               ValidationError)
@@ -325,6 +327,30 @@ def test_decompositions_per_call(linalg_outputs):
         assert solution.mode == MODE_RISKLESS
         assert len(linalg_outputs) <= 1
         assert max(linalg_outputs) <= n * n
+
+
+@pytest.mark.parametrize("market, argv", [
+    (market_m1, ["check"]),
+    (market_m1, ["frontier", "--rho", "1.12"]),
+    (market_m3, ["frontier", "--rho", "1.12"]),
+    (market_m1, ["capm", "--rho", "1.12"]),
+    (market_m3, ["capm", "--rho", "1.12", "--rho0", "1.05", "--rho1", "1.2"]),
+    (market_m1, ["arbitrage"]),
+    (market_m1, ["measure"]),
+])
+def test_each_cli_command_runs_eigh_at_most_once(tmp_path, monkeypatch, capsys,
+                                                 market, argv):
+    m = market()
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps({"instruments": list(m.instruments),
+                                "prices": m.prices.tolist(),
+                                "probabilities": m.probabilities.tolist(),
+                                "payoffs": m.payoffs.tolist()}))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    assert cli.main(argv + ["--model", str(path)]) == 0
+    assert len(calls) <= 1
 
 
 # -- two-fund composition --------------------------------------------------------

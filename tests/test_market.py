@@ -6,7 +6,7 @@ import pytest
 from conftest import brute_moments, market_m1, random_planted_market
 from oneperiod.errors import ValidationError, ZeroCostPortfolioError
 from oneperiod.market import (Market, load_market, market_from_dict, moments,
-                              normalize_portfolio, realized_return, validate_market)
+                              realized_return, validate_market)
 
 
 def test_validate_m1_passes(m1):
@@ -142,13 +142,6 @@ def test_realized_return_rejects_wrong_dimension(m1):
         realized_return(m1, (1.0, 2.0, 3.0))
 
 
-def test_normalize_portfolio(m1):
-    np.testing.assert_allclose(normalize_portfolio(m1, (2.0, 0.0)), [1.0, 0.0])
-    np.testing.assert_allclose(normalize_portfolio(m1, (1.0, 1.0)), [0.5, 0.5])
-    with pytest.raises(ZeroCostPortfolioError):
-        normalize_portfolio(m1, (1.0, -1.0))
-
-
 def test_profile_variance_matches_quadratic_form():
     rng = np.random.default_rng(101)
     for _ in range(40):
@@ -227,6 +220,26 @@ def test_market_from_dict_rejects_non_numeric_prices():
     document["prices"] = ["cheap", "dear"]
     with pytest.raises(ValidationError, match="prices"):
         market_from_dict(document)
+
+
+@pytest.mark.parametrize("prices, message", [
+    (["1.0", 1.0], "prices is not numeric"),
+    ([None, 1.0], "prices is not numeric"),
+    ([True, False], "prices is not numeric"),
+    ([{"value": 1.0}, 1.0], "prices is not numeric"),
+    ([10**400, 1.0], "prices holds a number beyond the float range"),
+])
+def test_market_from_dict_accepts_only_numbers(prices, message):
+    document = market_document()
+    document["prices"] = prices
+    with pytest.raises(ValidationError, match=message):
+        market_from_dict(document)
+
+
+def test_market_from_dict_converts_integers_of_any_size():
+    document = market_document()
+    document["prices"] = [1, 2**64]
+    assert market_from_dict(document).prices.tolist() == [1.0, 2.0**64]
 
 
 def test_load_market_missing_file(tmp_path):
