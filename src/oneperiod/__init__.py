@@ -13,24 +13,22 @@ from .arbitrage import (ArbitrageCertificate, CheckReport, ConditionCheck,
                         verify_certificate)
 from .capm import IdentityReport, verify_realized_identity
 from .errors import (ArbitragePresentError, ConvergenceError, DegenerateProblemError,
-                     ModelError, SingularCovarianceError, UnsupportedMarketError,
-                     ValidationError, ZeroCostPortfolioError)
-from .frontier import (FrontierConstants, FrontierSolution, RisklessInfo,
-                       efficient_portfolio, find_riskless, frontier_constants,
+                     ModelError, UnsupportedMarketError, ValidationError,
+                     ZeroCostPortfolioError)
+from .frontier import (FrontierSolution, RisklessInfo, efficient_portfolio, find_riskless,
                        two_fund_compose)
 from .linalg import ConeProjection, nnls
 from .market import (Market, Moments, ReturnProfile, load_market, market_from_dict,
                      moments, realized_return, validate_market)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ArbitrageCertificate", "ArbitragePresentError", "CheckReport", "ConditionCheck",
-    "ConeProjection", "ConvergenceError", "DegenerateProblemError", "FrontierConstants",
-    "FrontierSolution", "IdentityReport", "Market", "ModelError", "Moments",
-    "PricingMeasure", "ReturnProfile", "RisklessInfo", "SingularCovarianceError",
-    "UnsupportedMarketError", "ValidationError", "ZeroCostPortfolioError",
-    "check_arbitrage", "efficient_portfolio", "find_riskless", "frontier_constants",
+    "ConeProjection", "ConvergenceError", "DegenerateProblemError", "FrontierSolution",
+    "IdentityReport", "Market", "ModelError", "Moments", "PricingMeasure",
+    "ReturnProfile", "RisklessInfo", "UnsupportedMarketError", "ValidationError",
+    "ZeroCostPortfolioError", "check_arbitrage", "efficient_portfolio", "find_riskless",
     "load_market", "market_from_dict", "moments", "nnls", "realized_return",
     "risk_neutral_consistency", "two_fund_compose", "validate_market",
     "verify_certificate", "verify_realized_identity",

@@ -21,8 +21,8 @@ from .arbitrage import (DEFAULT_TOLERANCE, ArbitrageCertificate, CheckReport,
                         check_arbitrage, verify_certificate)
 from .capm import verify_realized_identity
 from .errors import ConvergenceError, ModelError, ValidationError
-from .frontier import _efficient, _find_riskless, efficient_portfolio
-from .market import Market, Moments, load_market, moments, realized_return
+from .frontier import MODE_RISKLESS, _frontier, _Frontier, efficient_portfolio
+from .market import Market, load_market, moments
 
 COMMANDS = ("check", "frontier", "capm", "arbitrage", "measure")
 
@@ -163,28 +163,27 @@ def _run_frontier(market: Market, args: argparse.Namespace) -> dict:
     }
 
 
-def _fund_targets(market: Market, mm: Moments,
-                  args: argparse.Namespace) -> tuple[float, float]:
+def _fund_targets(frontier: _Frontier, args: argparse.Namespace) -> tuple[float, float]:
     if args.rho0 is not None:
         return args.rho0, args.rho1
-    info = _find_riskless(market, mm)
-    if info is None:
+    if frontier.mode != MODE_RISKLESS:
         raise ValidationError(
             "market has no riskless portfolio to infer fund targets from; "
             "pass --rho0 and --rho1 explicitly")
-    if info.tangency is None:
+    if frontier.direction is None:
         raise ValidationError(
             "the tangency fund is degenerate, so default fund targets are undefined; "
             "pass --rho0 and --rho1 explicitly")
-    return info.gross_return, realized_return(market, info.tangency).mean
+    # The riskless return, and the tangency fund's mean: it is the mix with mu = 1.
+    return frontier.rho0, frontier.rho0 + 1.0 / frontier.mu1
 
 
 def _run_capm(market: Market, args: argparse.Namespace) -> dict:
-    mm = moments(market)
-    rho0, rho1 = _fund_targets(market, mm, args)
-    candidate = _efficient(market, mm, args.rho)
-    fund0 = _efficient(market, mm, rho0)
-    fund1 = _efficient(market, mm, rho1)
+    frontier = _frontier(market, moments(market))
+    rho0, rho1 = _fund_targets(frontier, args)
+    candidate = frontier.at(args.rho)
+    fund0 = frontier.at(rho0)
+    fund1 = frontier.at(rho1)
     report = verify_realized_identity(market, candidate.portfolio,
                                       fund0.portfolio, fund1.portfolio)
     return {

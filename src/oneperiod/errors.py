@@ -13,10 +13,6 @@ class ZeroCostPortfolioError(ModelError):
     """The portfolio has numerically zero acquisition cost, so its return is undefined."""
 
 
-class SingularCovarianceError(ModelError):
-    """The payoff covariance is singular; the closed-form frontier needs it invertible."""
-
-
 class ArbitragePresentError(ModelError):
     """The market admits an arbitrage, so the requested quantity does not exist."""
 

@@ -1,7 +1,9 @@
 """Efficient portfolio construction.
 
-Minimum-variance portfolios for a prescribed expected realized return, in
-the two regimes the model supports:
+Minimum-variance portfolios for a prescribed expected realized return. Two
+funds span every efficient portfolio, so a market's frontier is built once,
+from one factorization, and each target costs O(n). The model supports two
+regimes:
 
 * invertible payoff covariance: the closed-form solution of the
   equality-constrained quadratic minimization, driven by the scalar
@@ -19,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ArbitragePresentError, DegenerateProblemError,
-                     SingularCovarianceError, UnsupportedMarketError, ValidationError)
-from .linalg import DEFAULT_PINV_RTOL
-from .market import Market, Moments, ZERO_COST_RTOL, moments, realized_return
+from .errors import (ArbitragePresentError, DegenerateProblemError, UnsupportedMarketError,
+                     ValidationError)
+from .market import Market, Moments, ZERO_COST_RTOL, moments
 
 #: residual threshold (times sqrt(n_outcomes)) for the unit-payoff combination
 RISKLESS_RESIDUAL_TOL = 1e-9
@@ -30,25 +31,13 @@ RISKLESS_RESIDUAL_TOL = 1e-9
 MODE_NONSINGULAR = "nonsingular"
 MODE_RISKLESS = "riskless_route"
 
+#: covariance eigenvalues at or below _RANK_RTOL * lambda_max count as zero
+_RANK_RTOL = 1e-10
 _NULL_COST_RTOL = 1e-9
 _TARGET_MATCH_RTOL = 1e-12
 _DEGENERATE_D_RTOL = 1e-12
 _COST_CHECK_TOL = 1e-9
 _MEAN_CHECK_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class FrontierConstants:
-    """Scalar constants of the closed-form frontier.
-
-    ``a = x' V^-1 x``, ``b = x' V^-1 E[X]``, ``c = E[X]' V^-1 E[X]`` and
-    ``d = a c - b^2``, with x the price vector and V the payoff covariance.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
 
 
 @dataclass(frozen=True)
@@ -101,7 +90,7 @@ def _nullity(mm: Moments) -> int:
     eigenvectors span the zero-variance directions.
     """
     eigs = mm.eigenvalues
-    return int(np.count_nonzero(eigs <= DEFAULT_PINV_RTOL * eigs[-1]))
+    return int(np.count_nonzero(eigs <= _RANK_RTOL * eigs[-1]))
 
 
 def _find_riskless(market: Market, mm: Moments) -> RisklessInfo | None:
@@ -147,33 +136,97 @@ def _find_riskless(market: Market, mm: Moments) -> RisklessInfo | None:
     return RisklessInfo(portfolio=zeta, gross_return=gross_return, tangency=tangency)
 
 
-def frontier_constants(market: Market) -> FrontierConstants:
-    """The four scalars driving the closed-form frontier; requires invertible covariance."""
-    return _constants(market, moments(market))[0]
+@dataclass(frozen=True)
+class _Frontier:
+    """Every efficient portfolio of one market, built from one factorization.
+
+    Two funds span the frontier: the portfolio at target ``rho`` is
+    ``base + s * direction`` with ``s = rho - rho0``. ``base`` is the
+    efficient portfolio at ``rho0`` (the minimum-variance portfolio, or the
+    riskless one), and ``direction`` costs nothing and adds one to the mean.
+    The reported multipliers are ``lam = lam0 + s * lam1`` and
+    ``mu = s * mu1``, and the variance is ``var0 + s^2 * var1``.
+    ``direction`` is None when ``rho0`` is the only attainable mean.
+    """
+
+    market: Market
+    mm: Moments
+    mode: str
+    rho0: float
+    base: np.ndarray
+    direction: np.ndarray | None = None
+    lam0: float = 0.0
+    lam1: float = 0.0
+    mu1: float = 0.0
+    var0: float = 0.0
+    var1: float = 0.0
+
+    def at(self, rho: float) -> FrontierSolution:
+        """The efficient portfolio at ``rho``, in O(n) work."""
+        s = rho - self.rho0
+        xi, w_base, w_dir = self.base, 1.0, 0.0
+        if abs(s) <= _TARGET_MATCH_RTOL * max(1.0, abs(self.rho0)):
+            s = 0.0
+        elif self.direction is None:
+            raise DegenerateProblemError(
+                "the tangency fund is degenerate or earns the riskless return; "
+                f"no target mean other than {self.rho0!r} is attainable")
+        else:
+            # One step of iterative refinement on x'xi = 1 and E[X]'xi = rho.
+            # The funds satisfy x'base = 1, x'direction = 0, E[X]'base = rho0 and
+            # E[X]'direction = 1, so the correction needs no solve.
+            xi = self.base + s * self.direction
+            cost_gap = 1.0 - float(xi @ self.market.prices)
+            mean_gap = rho - float(xi @ self.mm.mean)
+            w_base, w_dir = 1.0 + cost_gap, s + mean_gap - self.rho0 * cost_gap
+            xi = w_base * self.base + w_dir * self.direction
+        solution = FrontierSolution(portfolio=xi, lam=w_base * self.lam0 + w_dir * self.lam1,
+                                    mu=w_dir * self.mu1, target_mean=rho,
+                                    variance=self.var0 + s * s * self.var1, mode=self.mode)
+        _check_solution(self.market, self.mm, solution)
+        return solution
 
 
-def _constants(market: Market, mm: Moments):
+def _frontier(market: Market, mm: Moments) -> _Frontier:
+    """Build the frontier of ``market`` once, from its moments."""
     if _nullity(mm):
-        raise SingularCovarianceError(
-            "payoff covariance is singular; use the riskless route instead")
+        info = _find_riskless(market, mm)
+        if info is None:
+            raise UnsupportedMarketError(
+                "covariance is singular and no riskless portfolio exists; "
+                "this market is outside the supported regimes")
+        r = info.gross_return
+        t = info.tangency
+        spread = 0.0 if t is None else float(mm.mean @ t) - r
+        if not abs(spread) > _TARGET_MATCH_RTOL * max(1.0, abs(r), abs(r + spread)):
+            return _Frontier(market, mm, MODE_RISKLESS, r, info.portfolio)
+        # mu is the weight on the tangency fund, so the fund itself sits at s = spread.
+        return _Frontier(market, mm, MODE_RISKLESS, r, info.portfolio,
+                         direction=(t - info.portfolio) / spread, lam1=-r / spread,
+                         mu1=1.0 / spread, var1=float(t @ mm.covariance @ t) / spread**2)
     # Whiten the price/mean pair with L^-1/2 Q', where V = Q L Q' is the stored
-    # eigendecomposition, and take its QR factor. The quadratic forms
-    # become plain products of the triangular entries, which sidesteps the
-    # catastrophic cancellation of forming a*c - b*b directly (the determinant
-    # can be many orders of magnitude below a*c).
+    # eigendecomposition, and take its QR factor R = [[r11, r12], [0, r22]]. With
+    # a = x'V^-1 x, b = x'V^-1 E[X], c = E[X]'V^-1 E[X] and d = a c - b^2, the
+    # frontier reads a = r11^2, b = r11 r12 and d = a r22^2, which sidesteps the
+    # catastrophic cancellation of forming a*c - b*b directly.
     half = mm.eigenvectors / np.sqrt(mm.eigenvalues)
     whitened = half.T @ np.column_stack([market.prices, mm.mean])
     r = np.linalg.qr(whitened, mode="r")
-    r11 = float(r[0, 0])
-    r12 = float(r[0, 1])
+    r11, r12 = float(r[0, 0]), float(r[0, 1])
     r22 = float(r[1, 1]) if r.shape[0] > 1 else 0.0
-    a = r11 * r11
-    b = r11 * r12
-    c = r12 * r12 + r22 * r22
-    d = a * (r22 * r22)
-    inverse = half @ whitened  # columns V^-1 x and V^-1 E[X]
-    constants = FrontierConstants(a=a, b=b, c=c, d=d)
-    return constants, inverse[:, 0], inverse[:, 1], (r11, r12, r22)
+    a, b, c = r11 * r11, r11 * r12, r12 * r12 + r22 * r22
+    if not abs(a * r22 * r22) > _DEGENERATE_D_RTOL * max(a * c, b * b, 1.0):
+        raise DegenerateProblemError(
+            "prices and expected payoffs are collinear under the covariance metric; "
+            "only one expected return is attainable")
+    # Along the frontier lam = (c - rho b)/d and mu = (rho a - b)/d multiply
+    # V^-1 x and V^-1 E[X]; the base is the minimum-variance portfolio at b/a.
+    inv_price, inv_mean = (half @ whitened).T
+    rho0, slope = r12 / r11, 1.0 / (r22 * r22)
+    return _Frontier(market, mm, MODE_NONSINGULAR, rho0, inv_price / a,
+                     direction=(inv_mean - rho0 * inv_price) * slope,
+                     lam0=1.0 / a, lam1=-rho0 * slope, mu1=slope,
+                     var0=1.0 / a, var1=slope)
 
 
 def efficient_portfolio(market: Market, target_mean: float) -> FrontierSolution:
@@ -181,65 +234,7 @@ def efficient_portfolio(market: Market, target_mean: float) -> FrontierSolution:
     rho = float(target_mean)
     if not np.isfinite(rho):
         raise ValidationError(f"target expected return must be finite, got {rho!r}")
-    return _efficient(market, moments(market), rho)
-
-
-def _efficient(market: Market, mm: Moments, rho: float) -> FrontierSolution:
-    if _nullity(mm):
-        return _riskless_route(market, mm, rho)
-    constants, sol_price, sol_mean, triangle = _constants(market, mm)
-
-    a, b, c, d = constants.a, constants.b, constants.c, constants.d
-    if not abs(d) > _DEGENERATE_D_RTOL * max(abs(a * c), b * b, 1.0):
-        raise DegenerateProblemError(
-            "prices and expected payoffs are collinear under the covariance metric; "
-            "only one expected return is attainable")
-    # lam = (c - rho b)/d, mu = (rho a - b)/d and the frontier variance
-    # (c - 2 b rho + a rho^2)/d, written in the cancellation-free triangular
-    # form: the variance numerator is the sum of squares (r12 - rho r11)^2 + r22^2.
-    r11, r12, r22 = triangle
-    gap = r12 - rho * r11
-    lam = (r12 * gap + r22 * r22) / d
-    mu = -(r11 * gap) / d
-    xi = lam * sol_price + mu * sol_mean
-    variance = (gap * gap + r22 * r22) / d
-    solution = FrontierSolution(portfolio=xi, lam=lam, mu=mu,
-                                target_mean=rho, variance=variance,
-                                mode=MODE_NONSINGULAR)
-    _check_solution(market, mm, solution)
-    return solution
-
-
-def _riskless_route(market: Market, mm: Moments, rho: float) -> FrontierSolution:
-    info = _find_riskless(market, mm)
-    if info is None:
-        raise UnsupportedMarketError(
-            "covariance is singular and no riskless portfolio exists; "
-            "this market is outside the supported regimes")
-    r = info.gross_return
-    if abs(rho - r) <= _TARGET_MATCH_RTOL * max(1.0, abs(r)):
-        xi = np.array(info.portfolio)
-        mu = 0.0
-        variance = 0.0
-    else:
-        if info.tangency is None:
-            raise DegenerateProblemError(
-                "the tangency fund is degenerate (expected payoffs are the riskless-"
-                f"scaled prices); no target mean other than {r!r} is attainable")
-        tangency_profile = realized_return(market, info.tangency)
-        spread = tangency_profile.mean - r
-        if abs(spread) <= 1e-12 * max(1.0, abs(r), abs(tangency_profile.mean)):
-            raise DegenerateProblemError(
-                "tangency fund and riskless portfolio have the same expected return; "
-                f"no target mean other than {r!r} is attainable")
-        mu = (rho - r) / spread
-        xi = mu * info.tangency + (1.0 - mu) * info.portfolio
-        variance = mu * mu * tangency_profile.variance
-    solution = FrontierSolution(portfolio=xi, lam=-mu * r, mu=mu,
-                                target_mean=rho, variance=variance,
-                                mode=MODE_RISKLESS)
-    _check_solution(market, mm, solution)
-    return solution
+    return _frontier(market, moments(market)).at(rho)
 
 
 def _check_solution(market: Market, mm: Moments, solution: FrontierSolution) -> None:

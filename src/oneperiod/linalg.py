@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels.
 
-The rank cutoff shared with the frontier, and a deterministic active-set
-nonnegative least squares used to project onto finitely generated cones.
-Everything here is a pure function on small dense arrays.
+A deterministic active-set nonnegative least squares, used to project onto
+finitely generated cones. Everything here is a pure function on small dense
+arrays.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-
-#: eigenvalues at or below rtol * lambda_max are treated as zero
-DEFAULT_PINV_RTOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 

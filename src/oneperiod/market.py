@@ -97,7 +97,7 @@ class Moments:
 
     mean: np.ndarray           # E[X], shape (n,)
     second_moment: np.ndarray  # E[X X'], shape (n, n)
-    covariance: np.ndarray     # E[X X'] - E[X] E[X'], shape (n, n)
+    covariance: np.ndarray     # E[(X - E[X]) (X - E[X])'], shape (n, n)
     eigenvalues: np.ndarray    # of the covariance, ascending, shape (n,)
     eigenvectors: np.ndarray   # orthonormal columns, one per eigenvalue, shape (n, n)
 
@@ -188,10 +188,12 @@ def moments(market: Market) -> Moments:
     x = market.payoffs
     p = market.probabilities
     mean = x @ p
-    second = (x * p) @ x.T
-    second = 0.5 * (second + second.T)
-    cov = second - np.outer(mean, mean)
+    # Centre before the product: E[XX'] - E[X]E[X]' cancels when payoffs share
+    # a large common level, such as a bond's face value.
+    centred = x - mean[:, None]
+    cov = (centred * p) @ centred.T
     cov = 0.5 * (cov + cov.T)
+    second = cov + np.outer(mean, mean)
     eigs, vecs = np.linalg.eigh(cov)
     if eigs[0] < -_PSD_RTOL * max(eigs[-1], 1e-300):
         raise ValidationError(

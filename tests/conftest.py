@@ -62,6 +62,14 @@ def brute_moments(market: Market):
     return mean, second, second - np.outer(mean, mean)
 
 
+def gmv_mean(market: Market) -> float:
+    """Expected payoff per unit cost of the minimum-variance portfolio: b/a, where
+    a = x'V^-1 x and b = x'V^-1 E[X] come from the brute-force moments."""
+    mean, _, cov = brute_moments(market)
+    weights = np.linalg.solve(cov, market.prices)
+    return float(mean @ weights) / float(market.prices @ weights)
+
+
 def invert_2x2(matrix):
     """Adjugate inversion of a 2x2 matrix; independent of numpy.linalg."""
     (a, b), (c, d) = matrix
@@ -185,6 +193,16 @@ def random_riskless_market(rng, n_max: int = 5, k_max: int = 10) -> Market:
         if np.linalg.norm(mean - gross * prices) <= 1e-6:
             continue
         return market
+
+
+def bond_market(rng, face: float, n_stocks: int = 2, k: int = 50) -> Market:
+    """A bond paying ``face`` in every outcome, priced to return 1.05, and
+    stocks paying U(0.5, 1.5) priced 0.95, 0.97, ..., under Dirichlet(1)
+    probabilities."""
+    payoffs = np.vstack([np.full(k, face), rng.uniform(0.5, 1.5, size=(n_stocks, k))])
+    prices = np.concatenate(([face / 1.05], 0.95 + 0.02 * np.arange(n_stocks)))
+    return Market(instruments=tuple(f"a{i}" for i in range(n_stocks + 1)), prices=prices,
+                  payoffs=payoffs, probabilities=rng.dirichlet(np.ones(k)))
 
 
 def random_dominated_market(rng) -> Market:

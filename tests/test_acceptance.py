@@ -9,15 +9,14 @@ import time
 
 import numpy as np
 
-from conftest import (brute_moments, invert_2x2, line_search_min_variance,
+from conftest import (brute_moments, gmv_mean, invert_2x2, line_search_min_variance,
                       market_m1, random_dominated_market,
                       random_invertible_market, random_planted_market,
                       random_riskless_market)
 from oneperiod.arbitrage import (ArbitrageCertificate, PricingMeasure,
                                  check_arbitrage, verify_certificate)
 from oneperiod.capm import verify_realized_identity
-from oneperiod.frontier import (efficient_portfolio, find_riskless,
-                                frontier_constants)
+from oneperiod.frontier import efficient_portfolio, find_riskless
 from oneperiod.market import Market, moments, realized_return
 
 
@@ -31,11 +30,10 @@ def test_criterion_1_pointwise_capm_identity():
     worst = 0.0
     for _ in range(200):
         market = random_invertible_market(rng)
-        constants = frontier_constants(market)
-        gmv_mean = constants.b / constants.a
-        xi = efficient_portfolio(market, gmv_mean + 0.04).portfolio
-        xi0 = efficient_portfolio(market, gmv_mean + 0.01).portfolio
-        xi1 = efficient_portfolio(market, gmv_mean + 0.07).portfolio
+        gmv = gmv_mean(market)
+        xi = efficient_portfolio(market, gmv + 0.04).portfolio
+        xi0 = efficient_portfolio(market, gmv + 0.01).portfolio
+        xi1 = efficient_portfolio(market, gmv + 0.07).portfolio
         result = verify_realized_identity(market, xi, xi0, xi1)
         scale = max(1.0, float(np.abs(realized_return(market, xi).per_outcome).max()))
         worst = max(worst, result.max_abs_residual / scale)
@@ -81,10 +79,9 @@ def test_criterion_3_closed_form_variance():
     worst = 0.0
     for market in markets:
         cov = moments(market).covariance
-        constants = frontier_constants(market)
-        gmv_mean = constants.b / constants.a
+        gmv = gmv_mean(market)
         for offset in (0.0, 0.02, 0.06):
-            solution = efficient_portfolio(market, gmv_mean + offset)
+            solution = efficient_portfolio(market, gmv + offset)
             direct = float(solution.portfolio @ cov @ solution.portfolio)
             rel = abs(solution.variance - direct) / max(abs(direct), 1e-300)
             worst = max(worst, rel)

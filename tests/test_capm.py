@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_invertible_market, random_riskless_market
+from conftest import gmv_mean, random_invertible_market, random_riskless_market
 from oneperiod import capm
 from oneperiod.capm import verify_realized_identity
 from oneperiod.errors import DegenerateProblemError
-from oneperiod.frontier import efficient_portfolio, find_riskless, frontier_constants
+from oneperiod.frontier import efficient_portfolio, find_riskless
 from oneperiod.market import portfolio_cost, realized_return
 
 
@@ -122,11 +122,10 @@ def test_identity_characterizes_efficient_span():
         market = random_invertible_market(rng)
         while market.n_instruments < 3:
             market = random_invertible_market(rng)
-        constants = frontier_constants(market)
-        gmv_mean = constants.b / constants.a
-        xi = efficient_portfolio(market, gmv_mean + 0.03).portfolio
-        xi0 = efficient_portfolio(market, gmv_mean + 0.01).portfolio
-        xi1 = efficient_portfolio(market, gmv_mean + 0.06).portfolio
+        gmv = gmv_mean(market)
+        xi = efficient_portfolio(market, gmv + 0.03).portfolio
+        xi0 = efficient_portfolio(market, gmv + 0.01).portfolio
+        xi1 = efficient_portfolio(market, gmv + 0.06).portfolio
         scale = max(1.0, float(np.abs(realized_return(market, xi).per_outcome).max()))
         if verify_realized_identity(market, xi, xi0, xi1).max_abs_residual <= 1e-8 * scale:
             efficient_hits += 1

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from conftest import market_m1, market_m2, market_m3
+from conftest import market_m1, market_m2, market_m3, random_planted_market
 from oneperiod import cli
 from oneperiod.arbitrage import check_arbitrage
 from oneperiod.frontier import efficient_portfolio
@@ -210,6 +211,22 @@ def test_degenerate_frontier_request_exits_2(capsys, m2_path):
     code = cli.main(["frontier", "--model", m2_path, "--rho", "1.05"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_capm_on_singular_market_without_riskless_reports_it(capsys, m2_path):
+    code = cli.main(["capm", "--model", m2_path, "--rho", "1.05"])
+    assert code == 2
+    assert "no riskless portfolio exists" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rho", [1.12, 1.05])
+def test_frontier_command_on_a_wide_market(capsys, tmp_path, rho):
+    # Unrefined, both targets failed the unit-cost check (off by 4.5e-8 and 8.3e-8).
+    market = random_planted_market(np.random.default_rng(3), 10, 4000)
+    path = write_market(tmp_path, market, "wide.json")
+    code, report = run_json(capsys, ["frontier", "--model", path, "--rho", repr(rho)])
+    assert code == 0
+    assert report["result"]["target_mean"] == rho
 
 
 def test_json_output_round_trips_bitwise(capsys, m1_path):

@@ -12,11 +12,6 @@ from pathlib import Path
 import oneperiod
 
 ROOT = Path(__file__).resolve().parents[1]
-ALLOWED_UNUSED = {
-    # The paper's A, B, C, D, used only by tests; kept until the frontier is
-    # built once per market and either uses or replaces it.
-    "frontier_constants",
-}
 
 
 def _references(node: ast.AST, bound: set) -> set:
@@ -54,7 +49,7 @@ def unused_exports(paths) -> list:
         if name not in used:
             used.add(name)
             pending.extend(owned.get(name, ()))
-    return sorted(exported - used - ALLOWED_UNUSED)
+    return sorted(exported - used)
 
 
 def test_every_export_is_used_outside_tests():

@@ -3,14 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (brute_moments, invert_2x2, line_search_min_variance, market_m1,
-                      market_m3, random_invertible_market, random_riskless_market)
+from conftest import (bond_market, brute_moments, gmv_mean, invert_2x2,
+                      line_search_min_variance, market_m1, market_m3,
+                      random_invertible_market, random_planted_market,
+                      random_riskless_market)
 from oneperiod import cli, frontier
 from oneperiod.errors import (ArbitragePresentError, DegenerateProblemError,
-                              SingularCovarianceError, UnsupportedMarketError,
-                              ValidationError)
+                              UnsupportedMarketError, ValidationError)
 from oneperiod.frontier import (MODE_NONSINGULAR, MODE_RISKLESS, efficient_portfolio,
-                                find_riskless, frontier_constants, two_fund_compose)
+                                find_riskless, two_fund_compose)
 from oneperiod.market import Market, moments, realized_return
 
 
@@ -77,18 +78,18 @@ def test_find_riskless_single_asset():
 # -- frontier constants ----------------------------------------------------------
 
 def test_frontier_constants_m3_golden(m3):
-    constants = frontier_constants(m3)
     # hand-derived: V = [[1/150, -1/60], [-1/60, 19/450]], inv = [[11400, 4500],
     # [4500, 1800]]; quadratic forms with x = (1,1), E[X] = (1.1, 17/15)
-    assert constants.a == pytest.approx(22200.0, rel=1e-9)
-    assert constants.b == pytest.approx(24630.0, rel=1e-9)
-    assert constants.c == pytest.approx(27326.0, rel=1e-9)
-    assert constants.d == pytest.approx(300.0, rel=1e-6)
+    a, b, c, d = 22200.0, 24630.0, 27326.0, 300.0
     mean, _, cov = brute_moments(m3)
     inv = invert_2x2(cov)
-    assert constants.a == pytest.approx(m3.prices @ inv @ m3.prices, rel=1e-10)
-    assert constants.b == pytest.approx(m3.prices @ inv @ mean, rel=1e-10)
-    assert constants.c == pytest.approx(mean @ inv @ mean, rel=1e-10)
+    assert a == pytest.approx(m3.prices @ inv @ m3.prices, rel=1e-10)
+    assert b == pytest.approx(m3.prices @ inv @ mean, rel=1e-10)
+    assert c == pytest.approx(mean @ inv @ mean, rel=1e-10)
+    assert d == pytest.approx(a * c - b * b, rel=1e-6)
+    for rho in (b / a, 1.05, 1.12, 1.2):
+        variance = efficient_portfolio(m3, rho).variance
+        assert variance == pytest.approx((c - 2 * b * rho + a * rho * rho) / d, rel=1e-9)
 
 
 def test_frontier_constants_b_symmetric_random():
@@ -97,26 +98,20 @@ def test_frontier_constants_b_symmetric_random():
         market = random_invertible_market(rng)
         mean, _, cov = brute_moments(market)
         inv = np.linalg.inv(cov)
-        b_price = market.prices @ inv @ mean
-        b_mean = mean @ inv @ market.prices
-        constants = frontier_constants(market)
-        assert abs(b_price - b_mean) <= 1e-9 * max(1.0, abs(b_price))
-        assert constants.b == pytest.approx(b_price, rel=1e-8)
-        # d equals a*c - b^2 up to the cancellation noise of forming the
-        # product difference in floating point
-        noise = 1e-12 * max(constants.a * constants.c, constants.b ** 2, 1.0)
-        assert abs(constants.d - (constants.a * constants.c - constants.b ** 2)) <= noise
-        assert constants.a > 0.0
-
-
-def test_frontier_constants_reject_singular_covariance(m1):
-    with pytest.raises(SingularCovarianceError):
-        frontier_constants(m1)
-
-
-def test_frontier_constants_d_zero_when_prices_match_means():
-    constants = frontier_constants(d_zero_market())
-    assert constants.d == pytest.approx(0.0, abs=1e-9)
+        a = market.prices @ inv @ market.prices
+        b = market.prices @ inv @ mean
+        c = mean @ inv @ mean
+        assert abs(b - mean @ inv @ market.prices) <= 1e-9 * max(1.0, abs(b))
+        # the minimum-variance portfolio earns b/a at variance 1/a, and the
+        # frontier variance is (c - 2 b rho + a rho^2)/d, with d = a c - b^2
+        minimum = efficient_portfolio(market, b / a)
+        assert minimum.variance == pytest.approx(1.0 / a, rel=1e-8)
+        assert minimum.lam == pytest.approx(1.0 / a, rel=1e-8)
+        assert abs(minimum.mu) <= 1e-8 * minimum.lam
+        rho = b / a + 0.05
+        variance = efficient_portfolio(market, rho).variance
+        assert variance == pytest.approx((c - 2 * b * rho + a * rho * rho) / (a * c - b * b),
+                                         rel=1e-6)
 
 
 # -- efficient portfolios --------------------------------------------------------
@@ -191,9 +186,7 @@ def test_nonsingular_solution_properties_random():
     for _ in range(30):
         market = random_invertible_market(rng)
         mean, _, cov = brute_moments(market)
-        constants = frontier_constants(market)
-        gmv_mean = constants.b / constants.a
-        rho = gmv_mean + float(rng.uniform(0.01, 0.08))
+        rho = gmv_mean(market) + float(rng.uniform(0.01, 0.08))
         solution = efficient_portfolio(market, rho)
         xi = solution.portfolio
         assert float(xi @ market.prices) == pytest.approx(1.0, abs=1e-9)
@@ -216,6 +209,37 @@ def test_nonsingular_solution_properties_random():
                 perturbed = xi + eps * eta
                 var = float(perturbed @ cov @ perturbed)
                 assert var >= solution.variance - 1e-12 * max(1.0, solution.variance)
+
+
+@pytest.fixture(scope="module")
+def wide_market() -> Market:
+    return random_planted_market(np.random.default_rng(1), 100, 3000)
+
+
+@pytest.mark.parametrize("rho", [1.0, 1.2, 1.5, 2.0])
+def test_refinement_meets_both_constraints_on_a_wide_market(wide_market, rho):
+    # Unrefined, these portfolios missed unit cost by 3.8e-8 to 1.3e-7.
+    solution = efficient_portfolio(wide_market, rho)
+    mean = wide_market.payoffs @ wide_market.probabilities
+    assert abs(float(solution.portfolio @ wide_market.prices) - 1.0) <= 1e-10
+    assert abs(float(solution.portfolio @ mean) - rho) <= 1e-10 * rho
+
+
+def test_refinement_meets_both_constraints_on_a_small_market():
+    # The first seed-909 market, 2 x 9 with condition number 3.3, missed unit
+    # cost by 1.2e-9 at this target unrefined.
+    market = random_invertible_market(np.random.default_rng(909))
+    xi = efficient_portfolio(market, gmv_mean(market) + 0.05).portfolio
+    assert abs(float(xi @ market.prices) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("face", [1e3, 1e4, 1e5])
+def test_bond_with_large_face_value_is_riskless(face):
+    # E[XX'] - E[X]E[X]' left the bond a variance of order face^2 * eps.
+    for seed in range(20):
+        solution = efficient_portfolio(bond_market(np.random.default_rng(seed), face), 1.05)
+        assert solution.mode == MODE_RISKLESS
+        assert solution.variance == 0.0
 
 
 def test_riskless_route_pointwise_identity_random():
@@ -337,9 +361,12 @@ def test_decompositions_per_call(linalg_outputs):
     (market_m3, ["capm", "--rho", "1.12", "--rho0", "1.05", "--rho1", "1.2"]),
     (market_m1, ["arbitrage"]),
     (market_m1, ["measure"]),
+    (market_m1, ["capm", "--rho", "1.12", "--rho0", "1.1", "--rho1", "1.14"]),
 ])
 def test_each_cli_command_runs_eigh_at_most_once(tmp_path, monkeypatch, capsys,
                                                  market, argv):
+    """Each command factors the covariance once and builds one frontier: at
+    most one ``eigh``, one ``qr`` and one riskless search."""
     m = market()
     path = tmp_path / "market.json"
     path.write_text(json.dumps({"instruments": list(m.instruments),
@@ -347,10 +374,16 @@ def test_each_cli_command_runs_eigh_at_most_once(tmp_path, monkeypatch, capsys,
                                 "probabilities": m.probabilities.tolist(),
                                 "payoffs": m.payoffs.tolist()}))
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(name) or fn(*a, **kw))
+
+    counted(np.linalg, "eigh")
+    counted(np.linalg, "qr")
+    counted(frontier, "_find_riskless")
     assert cli.main(argv + ["--model", str(path)]) == 0
-    assert len(calls) <= 1
+    assert all(calls.count(name) <= 1 for name in ("eigh", "qr", "_find_riskless"))
 
 
 # -- two-fund composition --------------------------------------------------------
@@ -385,9 +418,8 @@ def test_two_fund_span_reproduces_third_fund():
     rng = np.random.default_rng(1111)
     for _ in range(15):
         market = random_invertible_market(rng)
-        constants = frontier_constants(market)
-        gmv_mean = constants.b / constants.a
-        rho0, rho1, rho2 = gmv_mean + 0.02, gmv_mean + 0.05, gmv_mean + 0.09
+        gmv = gmv_mean(market)
+        rho0, rho1, rho2 = gmv + 0.02, gmv + 0.05, gmv + 0.09
         f0 = efficient_portfolio(market, rho0)
         f1 = efficient_portfolio(market, rho1)
         f2 = efficient_portfolio(market, rho2)

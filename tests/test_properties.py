@@ -10,11 +10,12 @@ import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import random_invertible_market, random_planted_market, random_riskless_market
+from conftest import (bond_market, random_invertible_market, random_planted_market,
+                      random_riskless_market)
 from oneperiod.arbitrage import ArbitrageCertificate, check_arbitrage, verify_certificate
 from oneperiod.capm import verify_realized_identity
 from oneperiod.errors import UnsupportedMarketError
-from oneperiod.frontier import efficient_portfolio
+from oneperiod.frontier import MODE_RISKLESS, efficient_portfolio, find_riskless
 from oneperiod.market import Market, realized_return
 
 profile = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -99,6 +100,19 @@ def test_realized_identity_holds_for_three_frontier_targets(kind, seed):
     report = verify_realized_identity(market, xi, xi0, xi1)
     scale = max(1.0, float(np.abs(realized_return(market, xi).per_outcome).max()))
     assert report.max_abs_residual <= 1e-9 * scale
+
+
+@profile
+@given(seed=seeds, exponent=st.floats(min_value=-3.0, max_value=6.0),
+       n_stocks=st.integers(min_value=1, max_value=5))
+def test_a_constant_payoff_at_any_face_value_is_riskless(seed, exponent, n_stocks):
+    face = 10.0 ** exponent
+    market = bond_market(np.random.default_rng(seed), face, n_stocks=n_stocks, k=40)
+    info = find_riskless(market)
+    assert info is not None
+    assert abs(info.gross_return - 1.05) <= 1e-9
+    np.testing.assert_allclose(info.portfolio[1:], 0.0, atol=1e-9 / face)
+    assert efficient_portfolio(market, 1.05).mode == MODE_RISKLESS
 
 
 @profile
