@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import DegenerateProblemError
 from .linalg import nnls
-from .market import Market
-
-DEFAULT_TOLERANCE = 1e-9
+from .market import EQUALITY_TOL, ROUNDING_RTOL, Market, _scaled
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ class CheckReport:
         return all(c.passed for c in self.checks)
 
 
-def check_arbitrage(market: Market, tol: float = DEFAULT_TOLERANCE):
+def check_arbitrage(market: Market, tol: float = EQUALITY_TOL):
     """Return a PricingMeasure or an ArbitrageCertificate for ``market``.
 
     Exactly one of the two outcomes is produced. Solver non-convergence
@@ -73,7 +71,7 @@ def check_arbitrage(market: Market, tol: float = DEFAULT_TOLERANCE):
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     projection = nnls(market.payoffs, market.prices)
-    threshold = tol * max(1.0, float(np.linalg.norm(market.prices)))
+    threshold = _scaled(tol, float(np.linalg.norm(market.prices)))
     if projection.residual_norm <= threshold:
         weights = projection.coefficients
         mass = float(weights.sum())
@@ -98,7 +96,7 @@ def check_arbitrage(market: Market, tol: float = DEFAULT_TOLERANCE):
     )
 
 
-def verify_certificate(market: Market, result, tol: float = DEFAULT_TOLERANCE) -> CheckReport:
+def verify_certificate(market: Market, result, tol: float = EQUALITY_TOL) -> CheckReport:
     """Re-derive every defining condition of ``result`` with plain matrix arithmetic.
 
     Independent of the solver path: only prices, payoffs and the stored
@@ -114,23 +112,20 @@ def verify_certificate(market: Market, result, tol: float = DEFAULT_TOLERANCE) -
 
 def _verify_measure(market: Market, measure: PricingMeasure, tol: float) -> CheckReport:
     weights = np.asarray(measure.state_prices, dtype=float)
-    checks = []
     low = float(weights.min())
-    checks.append(ConditionCheck(
-        name="state prices are nonnegative", passed=low >= 0.0, slack=low))
     residual = float(np.linalg.norm(market.payoffs @ weights - market.prices))
-    bound = tol * max(1.0, float(np.linalg.norm(market.prices)))
-    checks.append(ConditionCheck(
-        name="state prices reproduce the instrument prices",
-        passed=residual <= bound, slack=bound - residual))
+    bound = _scaled(tol, float(np.linalg.norm(market.prices)))
     q_gap = float(abs(np.asarray(measure.risk_neutral, dtype=float).sum() - 1.0))
-    checks.append(ConditionCheck(
-        name="risk-neutral weights sum to one", passed=q_gap <= 1e-12, slack=1e-12 - q_gap))
     r_gap = float(abs(measure.implied_return * measure.mass - 1.0))
-    checks.append(ConditionCheck(
-        name="implied return is the reciprocal mass", passed=r_gap <= 1e-12,
-        slack=1e-12 - r_gap))
-    return CheckReport(checks=tuple(checks))
+    return CheckReport(checks=(
+        ConditionCheck(name="state prices are nonnegative", passed=low >= 0.0, slack=low),
+        ConditionCheck(name="state prices reproduce the instrument prices",
+                       passed=residual <= bound, slack=bound - residual),
+        ConditionCheck(name="risk-neutral weights sum to one",
+                       passed=q_gap <= ROUNDING_RTOL, slack=ROUNDING_RTOL - q_gap),
+        ConditionCheck(name="implied return is the reciprocal mass",
+                       passed=r_gap <= ROUNDING_RTOL, slack=ROUNDING_RTOL - r_gap),
+    ))
 
 
 def _verify_certificate(market: Market, certificate: ArbitrageCertificate,
@@ -139,7 +134,7 @@ def _verify_certificate(market: Market, certificate: ArbitrageCertificate,
     cost = float(xi @ market.prices)
     payoffs = market.payoffs
     worst = float((xi @ payoffs).min())
-    payoff_floor = tol * max(1.0, float(payoffs.max()), -float(payoffs.min()))
+    payoff_floor = _scaled(tol, float(payoffs.max()), -float(payoffs.min()))
     return CheckReport(checks=(
         ConditionCheck(name="portfolio cost is negative", passed=cost < 0.0, slack=-cost),
         ConditionCheck(name="payoff is nonnegative in every outcome",
@@ -148,7 +143,7 @@ def _verify_certificate(market: Market, certificate: ArbitrageCertificate,
 
 
 def risk_neutral_consistency(market: Market, measure: PricingMeasure,
-                             tol: float = DEFAULT_TOLERANCE) -> CheckReport:
+                             tol: float = EQUALITY_TOL) -> CheckReport:
     """Check that every instrument's expected payoff under Q prices it at R * x_i.
 
     By linearity this extends to all portfolios: under the risk-neutral
@@ -156,7 +151,7 @@ def risk_neutral_consistency(market: Market, measure: PricingMeasure,
     """
     q = np.asarray(measure.risk_neutral, dtype=float)
     r = measure.implied_return
-    bound = tol * max(1.0, float(np.linalg.norm(market.prices))) * max(1.0, abs(r))
+    bound = _scaled(_scaled(tol, float(np.linalg.norm(market.prices))), abs(r))
     checks = []
     for i, name in enumerate(market.instruments):
         gap = float(abs(market.payoffs[i] @ q - r * market.prices[i]))

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProblemError
-from .market import Market, realized_return
-
-_VAR_FLOOR_RTOL = 1e-12
+from .market import ROUNDING_RTOL, Market, _scaled, realized_return
 
 
 @dataclass(frozen=True)
@@ -33,8 +31,8 @@ def _cov(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 def _beta(p: np.ndarray, d: np.ndarray, e: np.ndarray) -> float:
     var_e = _cov(p, e, e)
-    floor = _VAR_FLOOR_RTOL * max(1.0, float(np.abs(e).max())) ** 2
-    if not var_e > floor:
+    scale = float(np.abs(e).max())
+    if not var_e > _scaled(ROUNDING_RTOL, scale * scale):
         raise DegenerateProblemError(
             "fund return profiles are identical; the beta denominator vanishes")
     return _cov(p, d, e) / var_e

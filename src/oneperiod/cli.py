@@ -17,14 +17,11 @@ import math
 import sys
 import traceback
 
-from .arbitrage import (DEFAULT_TOLERANCE, ArbitrageCertificate, CheckReport,
-                        check_arbitrage, verify_certificate)
+from .arbitrage import ArbitrageCertificate, CheckReport, check_arbitrage, verify_certificate
 from .capm import verify_realized_identity
 from .errors import ConvergenceError, ModelError, ValidationError
 from .frontier import MODE_RISKLESS, _frontier, _Frontier, efficient_portfolio
-from .market import Market, load_market, moments
-
-COMMANDS = ("check", "frontier", "capm", "arbitrage", "measure")
+from .market import EQUALITY_TOL, Market, load_market, moments
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,9 +30,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyze a one-period market model from a JSON market file.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", required=True, help="path to the market JSON file")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+    common.add_argument("--tol", type=float, default=EQUALITY_TOL,
                         help="tolerance of the arbitrage and measure commands; the other "
-                             f"commands only echo it in the report (default {DEFAULT_TOLERANCE!r})")
+                             f"commands only echo it in the report (default {EQUALITY_TOL!r})")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         dest="output_format", help="report format (default text)")
     sub = parser.add_subparsers(dest="command", required=True)

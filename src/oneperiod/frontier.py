@@ -23,21 +23,11 @@ import numpy as np
 
 from .errors import (ArbitragePresentError, DegenerateProblemError, UnsupportedMarketError,
                      ValidationError)
-from .market import Market, Moments, ZERO_COST_RTOL, moments
-
-#: residual threshold (times sqrt(n_outcomes)) for the unit-payoff combination
-RISKLESS_RESIDUAL_TOL = 1e-9
+from .market import (EQUALITY_TOL, MEAN_TOL, RANK_RTOL, ROUNDING_RTOL, Market, Moments,
+                     _scaled, moments)
 
 MODE_NONSINGULAR = "nonsingular"
 MODE_RISKLESS = "riskless_route"
-
-#: covariance eigenvalues at or below _RANK_RTOL * lambda_max count as zero
-_RANK_RTOL = 1e-10
-_NULL_COST_RTOL = 1e-9
-_TARGET_MATCH_RTOL = 1e-12
-_DEGENERATE_D_RTOL = 1e-12
-_COST_CHECK_TOL = 1e-9
-_MEAN_CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,7 +65,7 @@ def find_riskless(market: Market) -> RisklessInfo | None:
     The zero-variance directions of the payoff covariance are the portfolios
     whose payoff is the same in every outcome. A combination of them that
     pays one unit in every outcome (within a residual of
-    ``RISKLESS_RESIDUAL_TOL * sqrt(n_outcomes)``) is the riskless portfolio,
+    ``EQUALITY_TOL * sqrt(n_outcomes)``) is the riskless portfolio,
     normalized to unit cost. Raises ArbitragePresentError when two riskless
     portfolios with different returns coexist (equivalently, a zero-payoff
     combination carries cost) or the constant payoff costs nothing or less.
@@ -84,13 +74,13 @@ def find_riskless(market: Market) -> RisklessInfo | None:
 
 
 def _nullity(mm: Moments) -> int:
-    """Number of covariance eigenvalues at or below the rank cutoff.
+    """Number of covariance eigenvalues at or below ``RANK_RTOL * lambda_max``.
 
     The eigenvalues ascend, so these are the leading ones, and their
     eigenvectors span the zero-variance directions.
     """
     eigs = mm.eigenvalues
-    return int(np.count_nonzero(eigs <= _RANK_RTOL * eigs[-1]))
+    return int(np.count_nonzero(eigs <= RANK_RTOL * eigs[-1]))
 
 
 def _find_riskless(market: Market, mm: Moments) -> RisklessInfo | None:
@@ -104,21 +94,20 @@ def _find_riskless(market: Market, mm: Moments) -> RisklessInfo | None:
         return None
     base = null @ (constants / scale)
     residual = float(np.linalg.norm(base @ market.payoffs - 1.0))
-    if not residual <= RISKLESS_RESIDUAL_TOL * np.sqrt(market.n_outcomes):
+    if not residual <= EQUALITY_TOL * np.sqrt(market.n_outcomes):
         return None
 
     # The zero-variance directions orthogonal to ``constants`` pay zero, so
     # they must cost nothing.
     null_costs = x @ null
     leak = float(np.linalg.norm(null_costs - constants * ((null_costs @ constants) / scale)))
-    if not leak <= _NULL_COST_RTOL * max(1.0, float(np.linalg.norm(x))):
+    if not leak <= _scaled(EQUALITY_TOL, float(np.linalg.norm(x))):
         raise ArbitragePresentError(
             "two riskless portfolios with different returns exist: a zero-payoff "
             f"combination of instruments carries cost (magnitude {leak!r})")
 
     cost = float(base @ x)
-    cost_floor = ZERO_COST_RTOL * max(1.0, float(np.linalg.norm(base) * np.linalg.norm(x)))
-    if not cost > cost_floor:
+    if not cost > _scaled(ROUNDING_RTOL, float(np.linalg.norm(base) * np.linalg.norm(x))):
         raise ArbitragePresentError(
             f"a constant unit payoff is available at nonpositive cost ({cost!r})")
     zeta = base / cost
@@ -130,8 +119,7 @@ def _find_riskless(market: Market, mm: Moments) -> RisklessInfo | None:
     raw = vecs @ ((excess @ vecs) / mm.eigenvalues[nullity:])
     tangency = None
     raw_cost = float(raw @ x)
-    if abs(raw_cost) > ZERO_COST_RTOL * max(
-            1.0, float(np.linalg.norm(raw) * np.linalg.norm(x))):
+    if abs(raw_cost) > _scaled(ROUNDING_RTOL, float(np.linalg.norm(raw) * np.linalg.norm(x))):
         tangency = raw / raw_cost
     return RisklessInfo(portfolio=zeta, gross_return=gross_return, tangency=tangency)
 
@@ -165,7 +153,7 @@ class _Frontier:
         """The efficient portfolio at ``rho``, in O(n) work."""
         s = rho - self.rho0
         xi, w_base, w_dir = self.base, 1.0, 0.0
-        if abs(s) <= _TARGET_MATCH_RTOL * max(1.0, abs(self.rho0)):
+        if abs(s) <= _scaled(ROUNDING_RTOL, abs(self.rho0)):
             s = 0.0
         elif self.direction is None:
             raise DegenerateProblemError(
@@ -198,7 +186,7 @@ def _frontier(market: Market, mm: Moments) -> _Frontier:
         r = info.gross_return
         t = info.tangency
         spread = 0.0 if t is None else float(mm.mean @ t) - r
-        if not abs(spread) > _TARGET_MATCH_RTOL * max(1.0, abs(r), abs(r + spread)):
+        if not abs(spread) > _scaled(ROUNDING_RTOL, abs(r), abs(r + spread)):
             return _Frontier(market, mm, MODE_RISKLESS, r, info.portfolio)
         # mu is the weight on the tangency fund, so the fund itself sits at s = spread.
         return _Frontier(market, mm, MODE_RISKLESS, r, info.portfolio,
@@ -215,7 +203,7 @@ def _frontier(market: Market, mm: Moments) -> _Frontier:
     r11, r12 = float(r[0, 0]), float(r[0, 1])
     r22 = float(r[1, 1]) if r.shape[0] > 1 else 0.0
     a, b, c = r11 * r11, r11 * r12, r12 * r12 + r22 * r22
-    if not abs(a * r22 * r22) > _DEGENERATE_D_RTOL * max(a * c, b * b, 1.0):
+    if not abs(a * r22 * r22) > _scaled(ROUNDING_RTOL, a * c, b * b):
         raise DegenerateProblemError(
             "prices and expected payoffs are collinear under the covariance metric; "
             "only one expected return is attainable")
@@ -239,13 +227,12 @@ def efficient_portfolio(market: Market, target_mean: float) -> FrontierSolution:
 
 def _check_solution(market: Market, mm: Moments, solution: FrontierSolution) -> None:
     cost = float(solution.portfolio @ market.prices)
-    if not abs(cost - 1.0) <= _COST_CHECK_TOL:
+    if not abs(cost - 1.0) <= EQUALITY_TOL:
         raise UnsupportedMarketError(
             f"efficient portfolio failed its unit-cost check (cost {cost!r}); "
             "the market is too ill-conditioned")
     mean = float(solution.portfolio @ mm.mean) / cost
-    bound = _MEAN_CHECK_TOL * max(1.0, abs(solution.target_mean))
-    if not abs(mean - solution.target_mean) <= bound:
+    if not abs(mean - solution.target_mean) <= _scaled(MEAN_TOL, abs(solution.target_mean)):
         raise UnsupportedMarketError(
             f"efficient portfolio failed its target-mean check ({mean!r} vs "
             f"{solution.target_mean!r}); the market is too ill-conditioned")
@@ -259,7 +246,7 @@ def two_fund_compose(market: Market, fund0: FrontierSolution, fund1: FrontierSol
     """
     rho0 = fund0.target_mean
     rho1 = fund1.target_mean
-    if abs(rho1 - rho0) <= 1e-12 * max(1.0, abs(rho0), abs(rho1)):
+    if abs(rho1 - rho0) <= _scaled(ROUNDING_RTOL, abs(rho0), abs(rho1)):
         raise DegenerateProblemError(
             f"funds have identical target means ({rho0!r}); composition is underdetermined")
     beta = (float(target_mean) - rho0) / (rho1 - rho0)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
+from .market import RANK_RTOL
 
 _EPS = float(np.finfo(float).eps)
 
@@ -54,7 +55,7 @@ def nnls(generators, target, *, max_iter: int | None = None,
     max_iter : int, optional
         Outer-iteration cap; defaults to ``10 * k``.
     kkt_tol : float, optional
-        Tolerance on the KKT conditions; defaults to ``1e-10 * ||G'b||_inf``.
+        Tolerance on the KKT conditions; defaults to ``RANK_RTOL * ||G'b||_inf``.
 
     Raises
     ------
@@ -81,7 +82,7 @@ def nnls(generators, target, *, max_iter: int | None = None,
         max_iter = 10 * g.shape[1]
     priced = pricing.price(b)  # g' (b - g c) at c = 0: negative gradient of the objective
     if kkt_tol is None:
-        kkt_tol = 1e-10 * pricing.largest_magnitude(b, priced)
+        kkt_tol = RANK_RTOL * pricing.largest_magnitude(b, priced)
 
     factor = _PassiveQR(g, b)
     coeff = np.empty(0)  # coefficients of the passive columns, in factor order
@@ -126,12 +127,13 @@ def nnls(generators, target, *, max_iter: int | None = None,
         enter = pricing.entering(residual, factor.index[:factor.size], kkt_tol)
 
     result = _projection(g, b, factor, coeff)
-    # g' (g c - b) on the passive set; the stop test bounds the others
+    # g' (g c - b) vanishes on the passive set, in the units of the dual that
+    # the stop test bounds on the others
     grad = factor.columns[:factor.size] @ -residual
-    if (grad < -kkt_tol).any() or (coeff * grad > kkt_tol).any():
+    if not (np.abs(grad) <= kkt_tol).all():
         raise ConvergenceError(
             "nnls terminated without a valid KKT certificate "
-            f"(worst passive gradient {float(grad.min())!r})",
+            f"(largest passive |gradient| {float(np.abs(grad).max())!r})",
             best=result, iterations=outer)
     return result
 

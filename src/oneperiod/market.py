@@ -18,17 +18,26 @@ import numpy as np
 
 from .errors import ValidationError, ZeroCostPortfolioError
 
-#: absolute tolerance for sum(probabilities) == 1
-PROB_SUM_TOL = 1e-9
-#: every outcome probability must be at least this
+# Every threshold of the package is one of these five. A relative tolerance
+# against a scale floored at 1 is applied through ``_scaled``.
+#: rounding zero: a computed number this small against its scale is zero
+ROUNDING_RTOL = 1e-12
+#: rank zero: an eigenvalue or dual this small against the largest of its kind is zero
+RANK_RTOL = 1e-10
+#: acceptance of a computed equality, and the default ``tol`` of the arbitrage test
+EQUALITY_TOL = 1e-9
+#: acceptance of a frontier portfolio's mean against its target, relative to max(1, |rho|)
+MEAN_TOL = 1e-8
+#: input rule: every outcome probability must be at least this
 MIN_PROBABILITY = 1e-12
-#: |cost| <= ZERO_COST_RTOL * max(1, |xi| |x|) counts as a zero-cost portfolio
-ZERO_COST_RTOL = 1e-12
-
-_PSD_RTOL = 1e-10
 
 _REQUIRED_KEYS = ("instruments", "prices", "probabilities", "payoffs")
 _OPTIONAL_KEYS = ("outcome_labels",)
+
+
+def _scaled(rtol: float, *scales: float) -> float:
+    """``rtol`` times the largest of ``scales``, floored at 1."""
+    return rtol * max(1.0, *scales)
 
 
 def _frozen_array(values, ndim: int, what: str) -> np.ndarray:
@@ -101,15 +110,6 @@ class Moments:
     eigenvalues: np.ndarray    # of the covariance, ascending, shape (n,)
     eigenvectors: np.ndarray   # orthonormal columns, one per eigenvalue, shape (n, n)
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean", _frozen_array(self.mean, 1, "mean"))
-        object.__setattr__(self, "second_moment",
-                           _frozen_array(self.second_moment, 2, "second moment"))
-        object.__setattr__(self, "covariance", _frozen_array(self.covariance, 2, "covariance"))
-        object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues, 1, "eigenvalues"))
-        object.__setattr__(self, "eigenvectors",
-                           _frozen_array(self.eigenvectors, 2, "eigenvectors"))
-
 
 @dataclass(frozen=True)
 class ReturnProfile:
@@ -118,10 +118,6 @@ class ReturnProfile:
     per_outcome: np.ndarray
     mean: float
     variance: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_outcome",
-                           _frozen_array(self.per_outcome, 1, "per-outcome returns"))
 
 
 def validate_market(market: Market) -> Market:
@@ -177,9 +173,9 @@ def validate_market(market: Market) -> Market:
         raise ValidationError(
             f"probability of outcome {w} is {p!r}; must be at least {MIN_PROBABILITY}")
     total = float(market.probabilities.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    if abs(total - 1.0) > EQUALITY_TOL:
         raise ValidationError(
-            f"probabilities sum to {total!r}; must equal 1 within {PROB_SUM_TOL}")
+            f"probabilities sum to {total!r}; must equal 1 within {EQUALITY_TOL}")
     return market
 
 
@@ -195,9 +191,11 @@ def moments(market: Market) -> Moments:
     cov = 0.5 * (cov + cov.T)
     second = cov + np.outer(mean, mean)
     eigs, vecs = np.linalg.eigh(cov)
-    if eigs[0] < -_PSD_RTOL * max(eigs[-1], 1e-300):
+    if eigs[0] < -RANK_RTOL * max(eigs[-1], 1e-300):
         raise ValidationError(
             f"covariance is not positive semi-definite (smallest eigenvalue {eigs[0]!r})")
+    for arr in (mean, second, cov, eigs, vecs):
+        arr.setflags(write=False)
     return Moments(mean=mean, second_moment=second, covariance=cov,
                    eigenvalues=eigs, eigenvectors=vecs)
 
@@ -218,8 +216,8 @@ def portfolio_cost(market: Market, portfolio) -> float:
     """Acquisition cost ``xi @ prices``; raises if it is numerically zero."""
     xi = as_portfolio(market, portfolio)
     cost = float(xi @ market.prices)
-    scale = max(1.0, float(np.linalg.norm(xi) * np.linalg.norm(market.prices)))
-    if abs(cost) <= ZERO_COST_RTOL * scale:
+    scale = float(np.linalg.norm(xi) * np.linalg.norm(market.prices))
+    if abs(cost) <= _scaled(ROUNDING_RTOL, scale):
         raise ZeroCostPortfolioError(
             f"portfolio cost {cost!r} is zero within tolerance; realized return is undefined")
     return cost
@@ -233,6 +231,7 @@ def realized_return(market: Market, portfolio) -> ReturnProfile:
     xi = as_portfolio(market, portfolio)
     cost = portfolio_cost(market, xi)
     per_outcome = (xi @ market.payoffs) / cost
+    per_outcome.setflags(write=False)
     p = market.probabilities
     mean = float(p @ per_outcome)
     centered = per_outcome - mean
@@ -262,17 +261,13 @@ def market_from_dict(document: dict, source: str = "<dict>") -> Market:
             not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)):
         raise ValidationError(f"{source}: 'outcome_labels' must be an array of strings")
     try:
-        market = Market(
+        return validate_market(Market(
             instruments=tuple(instruments),
             prices=document["prices"],
             payoffs=document["payoffs"],
             probabilities=document["probabilities"],
             outcome_labels=tuple(labels) if labels is not None else None,
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"{source}: {exc}") from None
-    try:
-        return validate_market(market)
+        ))
     except ValidationError as exc:
         raise ValidationError(f"{source}: {exc}") from None
 

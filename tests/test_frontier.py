@@ -62,7 +62,7 @@ def test_find_riskless_all_constant_market_has_degenerate_tangency():
 
 
 def test_riskless_cost_check_fails_closed_on_nan(m1, monkeypatch):
-    monkeypatch.setattr(frontier, "ZERO_COST_RTOL", float("nan"))
+    monkeypatch.setattr(frontier, "ROUNDING_RTOL", float("nan"))
     with pytest.raises(ArbitragePresentError, match="nonpositive cost"):
         frontier._find_riskless(m1, moments(m1))
 
@@ -153,7 +153,7 @@ def test_efficient_rejects_degenerate_target_space():
 
 
 def test_degenerate_d_check_fails_closed_on_nan(m3, monkeypatch):
-    monkeypatch.setattr(frontier, "_DEGENERATE_D_RTOL", float("nan"))
+    monkeypatch.setattr(frontier, "ROUNDING_RTOL", float("nan"))
     with pytest.raises(DegenerateProblemError, match="one expected return"):
         efficient_portfolio(m3, 1.12)
 

@@ -116,6 +116,11 @@ def _textbook_problems(rng):
     for unit in (2.0**140, 2.0**-140, 1e-41):
         for g, b in _planted_and_clone(rng, 12, 200):
             yield unit * g, unit * b
+    # Payoffs in a unit of 1e-41, prices in a unit of 1: the coefficients reach
+    # 1e42, so the final KKT test must bound the passive gradients themselves,
+    # not their products with the coefficients.
+    for g, b in _planted_and_clone(rng, 12, 200):
+        yield 1e-41 * g, b
 
 
 def _planted_and_clone(rng, n, k):

@@ -142,6 +142,16 @@ def test_realized_return_rejects_wrong_dimension(m1):
         realized_return(m1, (1.0, 2.0, 3.0))
 
 
+def test_result_arrays_are_read_only(m1):
+    mm = moments(m1)
+    profile = realized_return(m1, (1.0, 1.0))
+    arrays = {"prices": m1.prices, "payoffs": m1.payoffs, "probabilities": m1.probabilities,
+              "mean": mm.mean, "second_moment": mm.second_moment,
+              "covariance": mm.covariance, "eigenvalues": mm.eigenvalues,
+              "eigenvectors": mm.eigenvectors, "per_outcome": profile.per_outcome}
+    assert [name for name, arr in arrays.items() if arr.flags.writeable] == []
+
+
 def test_profile_variance_matches_quadratic_form():
     rng = np.random.default_rng(101)
     for _ in range(40):
