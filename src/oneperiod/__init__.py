@@ -4,8 +4,10 @@ Construct efficient portfolios (closed form for invertible covariance, the
 riskless/tangency route otherwise), verify that the CAPM identity holds for
 realized returns outcome by outcome, and run a constructive no-arbitrage
 test that yields either a pricing measure or a certified arbitrage
-portfolio. All functions are pure and all result objects immutable, so the
-library is safe to use from any number of concurrent callers.
+portfolio. All functions are pure, every result is a frozen dataclass, and
+the arrays of a Market, its Moments and a ReturnProfile are read-only views
+that cannot be made writeable, so the library is safe to use from any
+number of concurrent callers.
 """
 
 from .arbitrage import (ArbitrageCertificate, CheckReport, ConditionCheck,

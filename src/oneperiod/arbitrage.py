@@ -152,10 +152,8 @@ def risk_neutral_consistency(market: Market, measure: PricingMeasure,
     q = np.asarray(measure.risk_neutral, dtype=float)
     r = measure.implied_return
     bound = _scaled(_scaled(tol, float(np.linalg.norm(market.prices))), abs(r))
-    checks = []
-    for i, name in enumerate(market.instruments):
-        gap = float(abs(market.payoffs[i] @ q - r * market.prices[i]))
-        checks.append(ConditionCheck(
-            name=f"E_Q[payoff of '{name}'] equals R * price",
-            passed=gap <= bound, slack=bound - gap))
-    return CheckReport(checks=tuple(checks))
+    gaps = np.abs(market.payoffs @ q - r * market.prices).tolist()
+    return CheckReport(checks=tuple(
+        ConditionCheck(name=f"E_Q[payoff of '{name}'] equals R * price",
+                       passed=gap <= bound, slack=bound - gap)
+        for name, gap in zip(market.instruments, gaps)))

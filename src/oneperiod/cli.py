@@ -17,6 +17,8 @@ import math
 import sys
 import traceback
 
+import numpy as np
+
 from .arbitrage import ArbitrageCertificate, CheckReport, check_arbitrage, verify_certificate
 from .capm import verify_realized_identity
 from .errors import ConvergenceError, ModelError, ValidationError
@@ -82,11 +84,13 @@ def run(args: argparse.Namespace) -> int:
         "check": _run_check,
         "frontier": _run_frontier,
         "capm": _run_capm,
-        "arbitrage": _arbitrage_result,
-        "measure": _run_measure,
+        "arbitrage": _run_arbitrage,
+        "measure": _run_arbitrage,
     }[args.command]
     result = builder(market, args)
-    if result is None:  # measure found arbitrage; diagnostic already printed
+    if args.command == "measure" and result["outcome"] == "arbitrage":
+        print(f"error: arbitrage exists in '{args.model}'; "
+              "no pricing measure is available", file=sys.stderr)
         return 3
     report = {
         "command": args.command,
@@ -134,6 +138,7 @@ def _labeled(names, values) -> dict:
 
 def _run_check(market: Market, args: argparse.Namespace) -> dict:
     mm = moments(market)
+    second_moment = mm.covariance + np.outer(mm.mean, mm.mean)
     names = market.instruments
     return {
         "valid": True,
@@ -142,7 +147,7 @@ def _run_check(market: Market, args: argparse.Namespace) -> dict:
         "probabilities": _labeled(_outcome_names(market), market.probabilities),
         "mean_payoff": _labeled(names, mm.mean),
         "second_moment": {name: _labeled(names, row)
-                          for name, row in zip(names, mm.second_moment)},
+                          for name, row in zip(names, second_moment)},
         "covariance": {name: _labeled(names, row)
                        for name, row in zip(names, mm.covariance)},
     }
@@ -176,7 +181,7 @@ def _fund_targets(frontier: _Frontier, args: argparse.Namespace) -> tuple[float,
 
 
 def _run_capm(market: Market, args: argparse.Namespace) -> dict:
-    frontier = _frontier(market, moments(market))
+    frontier = _frontier(market)
     rho0, rho1 = _fund_targets(frontier, args)
     candidate = frontier.at(args.rho)
     fund0 = frontier.at(rho0)
@@ -206,7 +211,7 @@ def _check_report_dict(report: CheckReport) -> dict:
     }
 
 
-def _arbitrage_result(market: Market, args: argparse.Namespace) -> dict:
+def _run_arbitrage(market: Market, args: argparse.Namespace) -> dict:
     outcome = check_arbitrage(market, tol=args.tol)
     verification = verify_certificate(market, outcome, tol=args.tol)
     names = _outcome_names(market)
@@ -229,15 +234,6 @@ def _arbitrage_result(market: Market, args: argparse.Namespace) -> dict:
         "residual_norm": outcome.residual_norm,
         "verification": _check_report_dict(verification),
     }
-
-
-def _run_measure(market: Market, args: argparse.Namespace):
-    result = _arbitrage_result(market, args)
-    if result["outcome"] == "arbitrage":
-        print(f"error: arbitrage exists in '{args.model}'; "
-              "no pricing measure is available", file=sys.stderr)
-        return None
-    return result
 
 
 # -- text rendering -----------------------------------------------------------

@@ -135,10 +135,12 @@ class _Frontier:
     The reported multipliers are ``lam = lam0 + s * lam1`` and
     ``mu = s * mu1``, and the variance is ``var0 + s^2 * var1``.
     ``direction`` is None when ``rho0`` is the only attainable mean.
+    ``prices`` and ``mean`` (the market's ``E[X]``) are the two constraints'
+    coefficients, so a frontier keeps no reference to its market.
     """
 
-    market: Market
-    mm: Moments
+    prices: np.ndarray
+    mean: np.ndarray
     mode: str
     rho0: float
     base: np.ndarray
@@ -164,19 +166,28 @@ class _Frontier:
             # The funds satisfy x'base = 1, x'direction = 0, E[X]'base = rho0 and
             # E[X]'direction = 1, so the correction needs no solve.
             xi = self.base + s * self.direction
-            cost_gap = 1.0 - float(xi @ self.market.prices)
-            mean_gap = rho - float(xi @ self.mm.mean)
+            cost_gap = 1.0 - float(xi @ self.prices)
+            mean_gap = rho - float(xi @ self.mean)
             w_base, w_dir = 1.0 + cost_gap, s + mean_gap - self.rho0 * cost_gap
             xi = w_base * self.base + w_dir * self.direction
-        solution = FrontierSolution(portfolio=xi, lam=w_base * self.lam0 + w_dir * self.lam1,
-                                    mu=w_dir * self.mu1, target_mean=rho,
-                                    variance=self.var0 + s * s * self.var1, mode=self.mode)
-        _check_solution(self.market, self.mm, solution)
-        return solution
+        cost = float(xi @ self.prices)
+        if not abs(cost - 1.0) <= EQUALITY_TOL:
+            raise UnsupportedMarketError(
+                f"efficient portfolio failed its unit-cost check (cost {cost!r}); "
+                "the market is too ill-conditioned")
+        mean = float(xi @ self.mean) / cost
+        if not abs(mean - rho) <= _scaled(MEAN_TOL, abs(rho)):
+            raise UnsupportedMarketError(
+                f"efficient portfolio failed its target-mean check ({mean!r} vs "
+                f"{rho!r}); the market is too ill-conditioned")
+        return FrontierSolution(portfolio=xi, lam=w_base * self.lam0 + w_dir * self.lam1,
+                                mu=w_dir * self.mu1, target_mean=rho,
+                                variance=self.var0 + s * s * self.var1, mode=self.mode)
 
 
-def _frontier(market: Market, mm: Moments) -> _Frontier:
+def _frontier(market: Market) -> _Frontier:
     """Build the frontier of ``market`` once, from its moments."""
+    mm = moments(market)
     if _nullity(mm):
         info = _find_riskless(market, mm)
         if info is None:
@@ -187,9 +198,9 @@ def _frontier(market: Market, mm: Moments) -> _Frontier:
         t = info.tangency
         spread = 0.0 if t is None else float(mm.mean @ t) - r
         if not abs(spread) > _scaled(ROUNDING_RTOL, abs(r), abs(r + spread)):
-            return _Frontier(market, mm, MODE_RISKLESS, r, info.portfolio)
+            return _Frontier(market.prices, mm.mean, MODE_RISKLESS, r, info.portfolio)
         # mu is the weight on the tangency fund, so the fund itself sits at s = spread.
-        return _Frontier(market, mm, MODE_RISKLESS, r, info.portfolio,
+        return _Frontier(market.prices, mm.mean, MODE_RISKLESS, r, info.portfolio,
                          direction=(t - info.portfolio) / spread, lam1=-r / spread,
                          mu1=1.0 / spread, var1=float(t @ mm.covariance @ t) / spread**2)
     # Whiten the price/mean pair with L^-1/2 Q', where V = Q L Q' is the stored
@@ -211,7 +222,7 @@ def _frontier(market: Market, mm: Moments) -> _Frontier:
     # V^-1 x and V^-1 E[X]; the base is the minimum-variance portfolio at b/a.
     inv_price, inv_mean = (half @ whitened).T
     rho0, slope = r12 / r11, 1.0 / (r22 * r22)
-    return _Frontier(market, mm, MODE_NONSINGULAR, rho0, inv_price / a,
+    return _Frontier(market.prices, mm.mean, MODE_NONSINGULAR, rho0, inv_price / a,
                      direction=(inv_mean - rho0 * inv_price) * slope,
                      lam0=1.0 / a, lam1=-rho0 * slope, mu1=slope,
                      var0=1.0 / a, var1=slope)
@@ -222,20 +233,7 @@ def efficient_portfolio(market: Market, target_mean: float) -> FrontierSolution:
     rho = float(target_mean)
     if not np.isfinite(rho):
         raise ValidationError(f"target expected return must be finite, got {rho!r}")
-    return _frontier(market, moments(market)).at(rho)
-
-
-def _check_solution(market: Market, mm: Moments, solution: FrontierSolution) -> None:
-    cost = float(solution.portfolio @ market.prices)
-    if not abs(cost - 1.0) <= EQUALITY_TOL:
-        raise UnsupportedMarketError(
-            f"efficient portfolio failed its unit-cost check (cost {cost!r}); "
-            "the market is too ill-conditioned")
-    mean = float(solution.portfolio @ mm.mean) / cost
-    if not abs(mean - solution.target_mean) <= _scaled(MEAN_TOL, abs(solution.target_mean)):
-        raise UnsupportedMarketError(
-            f"efficient portfolio failed its target-mean check ({mean!r} vs "
-            f"{solution.target_mean!r}); the market is too ill-conditioned")
+    return _frontier(market).at(rho)
 
 
 def two_fund_compose(market: Market, fund0: FrontierSolution, fund1: FrontierSolution,

@@ -19,6 +19,8 @@ _EPS = float(np.finfo(float).eps)
 
 #: a float32 band holding more than one generator in this many: one float64 pass decides
 _EXACT_SHARE = 8
+#: outer-step cap of ``nnls``, per generator
+_STEPS_PER_GENERATOR = 10
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,7 @@ class ConeProjection:
     residual_norm: float
 
 
-def nnls(generators, target, *, max_iter: int | None = None,
-         kkt_tol: float | None = None) -> ConeProjection:
+def nnls(generators, target) -> ConeProjection:
     """Project ``target`` onto the cone spanned by the generator columns.
 
     Solves ``min ||G c - b||_2`` subject to ``c >= 0`` with the active-set
@@ -44,7 +45,8 @@ def nnls(generators, target, *, max_iter: int | None = None,
     per outer step is the dual ``G'r``. It reads a float32 copy of ``G``,
     made once per call, at half the bytes; a rigorous bound on its rounding
     keeps every decision exact, so the iterates are those of the textbook
-    method, up to float64 rounding.
+    method, up to float64 rounding. The iteration stops once no dual exceeds
+    ``RANK_RTOL * ||G'b||_inf``, after at most ``10 * k`` outer steps.
 
     Parameters
     ----------
@@ -52,17 +54,13 @@ def nnls(generators, target, *, max_iter: int | None = None,
         One generator per column.
     target : array_like, shape (m,)
         Point to project.
-    max_iter : int, optional
-        Outer-iteration cap; defaults to ``10 * k``.
-    kkt_tol : float, optional
-        Tolerance on the KKT conditions; defaults to ``RANK_RTOL * ||G'b||_inf``.
 
     Raises
     ------
     ConvergenceError
         If the cap is hit before the KKT conditions hold, or if the entering
         generator is linearly dependent on the passive ones within rounding
-        (possible only when ``kkt_tol`` is below the rounding level of the
+        (possible only when the stop is below the rounding level of the
         dual). The exception carries the best iterate in its ``best``
         attribute.
     """
@@ -78,11 +76,9 @@ def nnls(generators, target, *, max_iter: int | None = None,
     if not (np.isfinite(pricing.g_max) and np.isfinite(b).all()):
         raise ValueError("generators and target must be finite")
 
-    if max_iter is None:
-        max_iter = 10 * g.shape[1]
+    max_iter = _STEPS_PER_GENERATOR * g.shape[1]
     priced = pricing.price(b)  # g' (b - g c) at c = 0: negative gradient of the objective
-    if kkt_tol is None:
-        kkt_tol = RANK_RTOL * pricing.largest_magnitude(b, priced)
+    kkt_tol = RANK_RTOL * pricing.largest_magnitude(b, priced)
 
     factor = _PassiveQR(g, b)
     coeff = np.empty(0)  # coefficients of the passive columns, in factor order
@@ -100,7 +96,7 @@ def nnls(generators, target, *, max_iter: int | None = None,
         if not factor.push(enter):
             raise ConvergenceError(
                 f"nnls cannot add generator {enter}: it is linearly dependent on "
-                f"the passive generators within rounding, so kkt_tol ({kkt_tol!r}) "
+                f"the passive generators within rounding, so the stop ({kkt_tol!r}) "
                 "is below the rounding level of the dual",
                 best=_projection(g, b, factor, coeff), iterations=outer)
         coeff = np.append(coeff, 0.0)

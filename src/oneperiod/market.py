@@ -57,8 +57,14 @@ def _frozen_array(values, ndim: int, what: str) -> np.ndarray:
     arr = arr.astype(float, copy=False)
     if arr.ndim != ndim:
         raise ValidationError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+    return _read_only(arr)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only and returned as a view: numpy refuses to flag a
+    view of a read-only array writeable again."""
     arr.setflags(write=False)
-    return arr
+    return arr.view()
 
 
 @dataclass(frozen=True)
@@ -102,10 +108,10 @@ class Moments:
     The covariance's eigendecomposition is kept with it:
     ``covariance = eigenvectors @ diag(eigenvalues) @ eigenvectors.T`` with
     the eigenvalues ascending, so every frontier computation reads one factor.
+    The second moment ``E[X X']`` is ``covariance + outer(mean, mean)``.
     """
 
     mean: np.ndarray           # E[X], shape (n,)
-    second_moment: np.ndarray  # E[X X'], shape (n, n)
     covariance: np.ndarray     # E[(X - E[X]) (X - E[X])'], shape (n, n)
     eigenvalues: np.ndarray    # of the covariance, ascending, shape (n,)
     eigenvectors: np.ndarray   # orthonormal columns, one per eigenvalue, shape (n, n)
@@ -180,7 +186,7 @@ def validate_market(market: Market) -> Market:
 
 
 def moments(market: Market) -> Moments:
-    """Mean payoff, second moment, covariance and its eigendecomposition."""
+    """Mean payoff, covariance and its eigendecomposition."""
     x = market.payoffs
     p = market.probabilities
     mean = x @ p
@@ -189,15 +195,12 @@ def moments(market: Market) -> Moments:
     centred = x - mean[:, None]
     cov = (centred * p) @ centred.T
     cov = 0.5 * (cov + cov.T)
-    second = cov + np.outer(mean, mean)
     eigs, vecs = np.linalg.eigh(cov)
     if eigs[0] < -RANK_RTOL * max(eigs[-1], 1e-300):
         raise ValidationError(
             f"covariance is not positive semi-definite (smallest eigenvalue {eigs[0]!r})")
-    for arr in (mean, second, cov, eigs, vecs):
-        arr.setflags(write=False)
-    return Moments(mean=mean, second_moment=second, covariance=cov,
-                   eigenvalues=eigs, eigenvectors=vecs)
+    return Moments(mean=_read_only(mean), covariance=_read_only(cov),
+                   eigenvalues=_read_only(eigs), eigenvectors=_read_only(vecs))
 
 
 def as_portfolio(market: Market, portfolio) -> np.ndarray:
@@ -230,8 +233,7 @@ def realized_return(market: Market, portfolio) -> ReturnProfile:
     """
     xi = as_portfolio(market, portfolio)
     cost = portfolio_cost(market, xi)
-    per_outcome = (xi @ market.payoffs) / cost
-    per_outcome.setflags(write=False)
+    per_outcome = _read_only((xi @ market.payoffs) / cost)
     p = market.probabilities
     mean = float(p @ per_outcome)
     centered = per_outcome - mean

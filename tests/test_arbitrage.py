@@ -76,6 +76,23 @@ def test_risk_neutral_consistency_m1(m1):
     np.testing.assert_allclose(expected, [1.1, 1.1], rtol=1e-12)
 
 
+def test_risk_neutral_consistency_gaps_are_per_instrument_products(m1):
+    rng = np.random.default_rng(1616)
+    eps = np.finfo(float).eps
+    for market in [m1] + [random_planted_market(rng) for _ in range(30)]:
+        measure = check_arbitrage(market)
+        q, r, x = measure.risk_neutral, measure.implied_return, market.prices
+        report = risk_neutral_consistency(market, measure)
+        bound = 1e-9 * max(1.0, float(np.linalg.norm(x))) * max(1.0, abs(r))
+        assert len(report.checks) == market.n_instruments
+        for i, check in enumerate(report.checks):
+            gap = abs(float(market.payoffs[i] @ q) - r * x[i])
+            rounding = 2 * market.n_outcomes * eps * (float(np.abs(market.payoffs[i]) @ q)
+                                                      + abs(r * x[i]))
+            assert abs((bound - check.slack) - gap) <= rounding
+            assert check.passed and market.instruments[i] in check.name
+
+
 def test_single_riskless_asset_market():
     market = Market(instruments=("only",), prices=(1.0,), payoffs=[[1.1, 1.1]],
                     probabilities=(0.3, 0.7))

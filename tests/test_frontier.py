@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -240,6 +242,17 @@ def test_bond_with_large_face_value_is_riskless(face):
         solution = efficient_portfolio(bond_market(np.random.default_rng(seed), face), 1.05)
         assert solution.mode == MODE_RISKLESS
         assert solution.variance == 0.0
+
+
+@pytest.mark.parametrize("market", [market_m1, market_m3])
+def test_frontier_value_does_not_keep_its_market_alive(market):
+    m = market()
+    value = frontier._frontier(m)
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+    assert float(value.at(1.12).portfolio @ value.prices) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_riskless_route_pointwise_identity_random():

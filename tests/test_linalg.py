@@ -75,10 +75,11 @@ def test_nnls_matches_grid_oracle():
         assert nnls_grid_oracle(g, b) >= projection.residual_norm - 1e-3
 
 
-def test_nnls_iteration_cap_carries_best_iterate():
+def test_nnls_iteration_cap_carries_best_iterate(monkeypatch):
+    monkeypatch.setattr(linalg, "_STEPS_PER_GENERATOR", 0)
     g = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ConvergenceError) as excinfo:
-        nnls(g, (1.0, 1.0), max_iter=0)
+        nnls(g, (1.0, 1.0))
     best = excinfo.value.best
     assert best is not None
     np.testing.assert_array_equal(best.coefficients, [0.0, 0.0])
@@ -227,11 +228,12 @@ def test_nnls_factors_nothing_from_scratch(monkeypatch):
         nnls(g, b)
 
 
-def test_nnls_dependent_entering_column_carries_best_iterate():
-    # With kkt_tol = 0 a rounding-level dual asks a generator in the span of
+def test_nnls_dependent_entering_column_carries_best_iterate(monkeypatch):
+    # With a stop of 0 a rounding-level dual asks a generator in the span of
     # the passive ones to enter; the textbook method cycles to the cap here.
+    monkeypatch.setattr(linalg, "RANK_RTOL", 0.0)
     g = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
     with pytest.raises(ConvergenceError, match="linearly dependent") as excinfo:
-        nnls(g, (1.0, 2.0), kkt_tol=0.0)
+        nnls(g, (1.0, 2.0))
     np.testing.assert_allclose(excinfo.value.best.coefficients, [0.0, 1.0, 1.0],
                                rtol=1e-15)

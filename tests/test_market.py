@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_moments, market_m1, random_planted_market
+from oneperiod import cli
 from oneperiod.errors import ValidationError, ZeroCostPortfolioError
 from oneperiod.market import (Market, load_market, market_from_dict, moments,
                               realized_return, validate_market)
@@ -88,10 +89,22 @@ def test_moments_m1_hand_values(m1):
     np.testing.assert_allclose(mm.mean, [1.1, 1.14], rtol=1e-12)
     np.testing.assert_allclose(mm.covariance, [[0.0, 0.0], [0.0, 0.0384]],
                                atol=1e-12)
-    oracle_mean, oracle_second, oracle_cov = brute_moments(m1)
+    oracle_mean, _, oracle_cov = brute_moments(m1)
     np.testing.assert_allclose(mm.mean, oracle_mean, rtol=1e-13)
-    np.testing.assert_allclose(mm.second_moment, oracle_second, rtol=1e-13)
     np.testing.assert_allclose(mm.covariance, oracle_cov, atol=1e-14)
+
+
+def test_check_report_second_moment_m1(capsys, tmp_path, m1):
+    path = tmp_path / "m1.json"
+    path.write_text(json.dumps({
+        "instruments": list(m1.instruments), "prices": m1.prices.tolist(),
+        "probabilities": m1.probabilities.tolist(), "payoffs": m1.payoffs.tolist()}))
+    assert cli.main(["check", "--model", str(path), "--format", "json"]) == 0
+    second = json.loads(capsys.readouterr().out)["result"]["second_moment"]
+    names = m1.instruments
+    _, oracle_second, _ = brute_moments(m1)
+    np.testing.assert_allclose([[second[a][b] for b in names] for a in names],
+                               oracle_second, rtol=1e-13)
 
 
 def test_moments_constant_rows_have_zero_covariance():
@@ -146,10 +159,18 @@ def test_result_arrays_are_read_only(m1):
     mm = moments(m1)
     profile = realized_return(m1, (1.0, 1.0))
     arrays = {"prices": m1.prices, "payoffs": m1.payoffs, "probabilities": m1.probabilities,
-              "mean": mm.mean, "second_moment": mm.second_moment,
-              "covariance": mm.covariance, "eigenvalues": mm.eigenvalues,
+              "mean": mm.mean, "covariance": mm.covariance, "eigenvalues": mm.eigenvalues,
               "eigenvectors": mm.eigenvectors, "per_outcome": profile.per_outcome}
     assert [name for name, arr in arrays.items() if arr.flags.writeable] == []
+
+    def reflags(arr):
+        try:
+            arr.setflags(write=True)
+        except ValueError:
+            return False
+        return True
+
+    assert [name for name, arr in arrays.items() if reflags(arr)] == []
 
 
 def test_profile_variance_matches_quadratic_form():
